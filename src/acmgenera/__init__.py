@@ -1,6 +1,5 @@
 """Exact classification of aCM-curve genera by degree, via finite O-sequences."""
 
-from ._kernels import get_backend, set_backend, warm_up
 from .continuity import GenusSet, certain_genera, continuity_prefix, m_sequence
 from .errors import BudgetError, EmptyFamilyError, MembershipError, UnattainableGenusError
 from .macaulay import (
@@ -56,8 +55,7 @@ __version__ = "0.1.0"
 def clear_caches():
     """Drop every in-memory memo (bound tables, range rows, degree recursion).
 
-    Compiled kernels stay compiled; this only resets Python-side state, e.g.
-    so a benchmark can time cold computations after a warm-up run.
+    This lets a benchmark time cold computations after a warm-up run.
     """
     from . import _kernels as _k
     from . import continuity as _c
@@ -100,7 +98,6 @@ __all__ = [
     "genus",
     "genus_range",
     "genus_search",
-    "get_backend",
     "hilbert_data",
     "holes",
     "is_admissible",
@@ -119,7 +116,5 @@ __all__ = [
     "range_table",
     "root_of",
     "separated_after",
-    "set_backend",
     "total_compare",
-    "warm_up",
 ]

@@ -1,59 +1,18 @@
-"""Hot search kernels: JIT-compiled by default, plain interpreter as fallback.
+"""Hot search kernels: the pruned tree walks and the exhaustive enumeration.
 
 The depth-first searches and the exhaustive enumeration dominate the runtime
-of a degree classification, so they are written against preallocated numpy
-arrays and compiled with numba.  The identical function objects also run
-uncompiled; set ``ACMGENERA_BACKEND=python`` (or call :func:`set_backend`)
-to select that path, e.g. to cross-check results or when numba is absent.
-
-All kernel arithmetic is int64.  Degrees are capped well below the point
-where any intermediate (binomial tables are clamped to ``d + 1``) could
-approach 2**63, so the fixed width cannot overflow silently.
+of a degree classification.  They are written as explicit-stack loops over
+plain lists, reading the growth bound from a per-degree table of
+:func:`acmgenera.macaulay.macaulay_bound` values.
 """
 from __future__ import annotations
 
-import os
 import threading
+from bisect import bisect_left
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+from .macaulay import macaulay_bound
 
 KERNEL_MAX_DEGREE = 1 << 20
-
-_backend: str | None = None
-_backend_lock = threading.Lock()
-
-
-def get_backend() -> str:
-    global _backend
-    with _backend_lock:
-        if _backend is None:
-            env = os.environ.get("ACMGENERA_BACKEND", "").strip().lower()
-            if env in ("python", "numpy"):
-                _backend = "python"
-            elif env == "numba":
-                if not HAVE_NUMBA:
-                    raise RuntimeError("ACMGENERA_BACKEND=numba but numba is not importable")
-                _backend = "numba"
-            else:
-                _backend = "numba" if HAVE_NUMBA else "python"
-        return _backend
-
-
-def set_backend(name: str):
-    global _backend
-    if name not in ("numba", "python"):
-        raise ValueError(f"backend must be 'numba' or 'python', got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    with _backend_lock:
-        _backend = name
 
 
 def _check_degree(d: int):
@@ -62,40 +21,7 @@ def _check_degree(d: int):
 
 
 # ---------------------------------------------------------------------------
-# kernel bodies (nopython-compatible, no calls between them)
-
-
-def _bound_table_impl(d):
-    """tab[a, t] = growth bound of a in position t, clamped at d + 1.
-
-    Every admissibility comparison in the kernels is against entries <= d,
-    so the clamp never changes an outcome while keeping values small.
-    """
-    cap = d + 1
-    tab = np.zeros((d + 2, d + 2), dtype=np.int64)
-    for t in range(1, d + 2):
-        for a in range(1, d + 2):
-            rem = a
-            base = t
-            total = 0
-            while rem > 0 and base >= 1:
-                k = base
-                c = 1  # C(k, base), updated incrementally
-                while True:
-                    c2 = c * (k + 1) // (k + 1 - base)
-                    if c2 <= rem:
-                        k += 1
-                        c = c2
-                    else:
-                        break
-                total += c * (k + 1) // (base + 1)
-                if total >= cap:
-                    total = cap
-                    break
-                rem -= c
-                base -= 1
-            tab[a, t] = total
-    return tab
+# kernel bodies
 
 
 def _search_fixed_both_impl(d, s, targets, bounds):
@@ -105,55 +31,53 @@ def _search_fixed_both_impl(d, s, targets, bounds):
     to a position j >= the highest index already above 1; genus grows by
     j - 1 along each edge, so a subtree is pruned as soon as its root's
     genus reaches the largest unfound target.  Each target's witness is the
-    first vertex of its genus in preorder.
+    first vertex of its genus in preorder; returns one witness or None per
+    target.
     """
-    nt = targets.shape[0]
-    found = np.zeros(nt, dtype=np.uint8)
-    wit = np.zeros((nt, s), dtype=np.int64)
-    h = np.ones(s, dtype=np.int64)
+    nt = len(targets)
+    wit = [None] * nt
+    h = [1] * s
     h[1] = d - s + 1
     g = (s - 1) * (s - 2) // 2
     nrem = nt
     hi = nt - 1
 
-    p = np.searchsorted(targets, g)
+    p = bisect_left(targets, g)
     if p < nt and targets[p] == g:
-        found[p] = 1
-        for q in range(s):
-            wit[p, q] = h[q]
+        wit[p] = tuple(h)
         nrem -= 1
-        while hi >= 0 and found[hi] == 1:
+        while hi >= 0 and wit[hi] is not None:
             hi -= 1
     if nrem == 0 or s < 3 or g >= targets[hi]:
-        return found, wit
+        return wit
 
-    nx = np.zeros(d + 2, dtype=np.int64)  # next child index to try, per depth
-    js = np.zeros(d + 2, dtype=np.int64)  # child index that created each depth
+    row1 = bounds[1]
+    nx = [0] * (d + 2)  # next child index to try, per depth
+    js = [0] * (d + 2)  # child index that created each depth
     nx[0] = 2
     depth = 0
     while depth >= 0:
         advanced = False
         if h[1] >= 2:
-            b1 = bounds[h[1] - 1, 1]
+            b1 = row1[h[1] - 1]
             j = nx[depth]
             while j <= s - 1:
                 if j == 2:
                     ok = h[2] + 1 <= b1
                 else:
-                    ok = h[2] <= b1 and h[j] + 1 <= bounds[h[j - 1], j - 1]
+                    ok = h[2] <= b1 and h[j] + 1 <= bounds[j - 1][h[j - 1]]
                 if ok:
                     gc = g + j - 1
-                    p = np.searchsorted(targets, gc)
-                    if p < nt and targets[p] == gc and found[p] == 0:
-                        found[p] = 1
-                        for q in range(s):
-                            wit[p, q] = h[q]
-                        wit[p, 1] -= 1
-                        wit[p, j] += 1
+                    p = bisect_left(targets, gc)
+                    if p < nt and targets[p] == gc and wit[p] is None:
+                        w = h[:]
+                        w[1] -= 1
+                        w[j] += 1
+                        wit[p] = tuple(w)
                         nrem -= 1
                         if nrem == 0:
-                            return found, wit
-                        while hi >= 0 and found[hi] == 1:
+                            return wit
+                        while hi >= 0 and wit[hi] is not None:
                             hi -= 1
                     if gc < targets[hi]:
                         nx[depth] = j + 1
@@ -174,7 +98,7 @@ def _search_fixed_both_impl(d, s, targets, bounds):
             h[jj] -= 1
             g -= jj - 1
             depth -= 1
-    return found, wit
+    return wit
 
 
 def _search_multiplicity_impl(d, target, bounds):
@@ -182,28 +106,21 @@ def _search_multiplicity_impl(d, target, bounds):
 
     Children either move one unit from position 1 onto the last entry
     (kind 0) or onto a new trailing entry (kind 1); both raise the genus by
-    (child length) - 2 >= 1.  Returns r with r[0] = witness length (0 if
-    none) and r[1:] its entries.
+    (child length) - 2 >= 1.  Returns the witness, or None.
     """
-    res = np.zeros(d + 2, dtype=np.int64)
     if d == 1:
-        if target == 0:
-            res[0] = 1
-            res[1] = 1
-        return res
-    h = np.zeros(d + 2, dtype=np.int64)
+        return (1,) if target == 0 else None
+    if target == 0:
+        return (1, d - 1)
+    h = [0] * (d + 2)
     h[0] = 1
     h[1] = d - 1
     sl = 2
     g = 0
-    if target == 0:
-        res[0] = 2
-        res[1] = 1
-        res[2] = d - 1
-        return res
 
-    nk = np.zeros(d + 3, dtype=np.int64)  # next child kind to try, per depth
-    ak = np.zeros(d + 3, dtype=np.int64)  # kind that created each depth
+    row1 = bounds[1]
+    nk = [0] * (d + 3)  # next child kind to try, per depth
+    ak = [0] * (d + 3)  # kind that created each depth
     depth = 0
     while depth >= 0:
         advanced = False
@@ -213,35 +130,29 @@ def _search_multiplicity_impl(d, target, bounds):
                 if k == 0:
                     if sl >= 3:
                         if sl == 3:
-                            ok = h[2] + 1 <= bounds[h[1] - 1, 1]
+                            ok = h[2] + 1 <= row1[h[1] - 1]
                         else:
-                            ok = h[2] <= bounds[h[1] - 1, 1] and h[sl - 1] + 1 <= bounds[h[sl - 2], sl - 2]
+                            ok = h[2] <= row1[h[1] - 1] and h[sl - 1] + 1 <= bounds[sl - 2][h[sl - 2]]
                         if ok and g + sl - 2 <= target:
                             h[1] -= 1
                             h[sl - 1] += 1
                             g += sl - 2
                             if g == target:
-                                res[0] = sl
-                                for q in range(sl):
-                                    res[1 + q] = h[q]
-                                return res
+                                return tuple(h[:sl])
                             nk[depth] = 1
                             depth += 1
                             nk[depth] = 0
                             ak[depth] = 0
                             advanced = True
                 else:
-                    ok = sl == 2 or h[2] <= bounds[h[1] - 1, 1]
+                    ok = sl == 2 or h[2] <= row1[h[1] - 1]
                     if ok and g + sl - 1 <= target:
                         h[1] -= 1
                         h[sl] = 1
                         sl += 1
                         g += sl - 2
                         if g == target:
-                            res[0] = sl
-                            for q in range(sl):
-                                res[1 + q] = h[q]
-                            return res
+                            return tuple(h[:sl])
                         nk[depth] = 2
                         depth += 1
                         nk[depth] = 0
@@ -262,25 +173,25 @@ def _search_multiplicity_impl(d, target, bounds):
                 h[1] += 1
                 g -= sl - 1
             depth -= 1
-    return res
+    return None
 
 
 def _brute_force_impl(d, bounds):
     """Exhaustive generation of every multiplicity-d sequence, no tree machinery.
 
     Extends prefixes entry by entry within the growth bound and the remaining
-    multiplicity.  Returns (attained, count) where attained[g, s] = 1 iff some
-    sequence of length s has genus g, and count is the number of sequences.
+    multiplicity.  Returns (masks, count) where bit g of masks[s] is set iff
+    some sequence of length s has genus g, and count is the number of
+    sequences.
     """
-    gmax = (d - 1) * (d - 2) // 2
-    att = np.zeros((gmax + 1, d + 1), dtype=np.uint8)
+    masks = [0] * (d + 1)
     if d == 1:
-        att[0, 1] = 1
-        return att, 1
+        masks[1] = 1
+        return masks, 1
     count = 0
-    val = np.zeros(d + 1, dtype=np.int64)
-    ssum = np.zeros(d + 1, dtype=np.int64)
-    gen = np.zeros(d + 1, dtype=np.int64)
+    val = [0] * (d + 1)
+    ssum = [0] * (d + 1)
+    gen = [0] * (d + 1)
     ssum[1] = 1
     t = 1
     while t >= 1:
@@ -289,7 +200,7 @@ def _brute_force_impl(d, bounds):
         if t == 1:
             top = rem
         else:
-            top = bounds[val[t - 1], t - 1]
+            top = bounds[t - 1][val[t - 1]]
             if top > rem:
                 top = rem
         if v > top:
@@ -299,41 +210,34 @@ def _brute_force_impl(d, bounds):
         val[t] = v
         gc = gen[t] + (t - 1) * v if t >= 2 else 0
         if v == rem:
-            att[gc, t + 1] = 1
+            masks[t + 1] |= 1 << gc
             count += 1
         else:
             ssum[t + 1] = ssum[t] + v
             gen[t + 1] = gc
             t += 1
-    return att, count
+    return masks, count
 
 
 # ---------------------------------------------------------------------------
-# compiled variants and dispatch
+# entry points
 
-if HAVE_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    _bound_table_nb = _jit(_bound_table_impl)
-    _search_fixed_both_nb = _jit(_search_fixed_both_impl)
-    _search_multiplicity_nb = _jit(_search_multiplicity_impl)
-    _brute_force_nb = _jit(_brute_force_impl)
-
-
-def _pick(py_fn, nb_fn):
-    return nb_fn if get_backend() == "numba" else py_fn
-
-
-_table_cache: dict[int, np.ndarray] = {}
+_table_cache: dict[int, list[list[int]]] = {}
 _table_lock = threading.Lock()
 
 
-def bound_table(d: int) -> np.ndarray:
+def bound_table(d: int) -> list[list[int]]:
+    """tab[t][a] = macaulay_bound(a, t) for 1 <= t < d and a + t <= d.
+
+    A multiplicity-d sequence with an entry a at position t >= 1 has at
+    least t + 1 entries, all positive, so a + t <= d covers every lookup the
+    kernels make; an index past that raises instead of reading a wrong bound.
+    """
     _check_degree(d)
     with _table_lock:
         tab = _table_cache.get(d)
         if tab is None:
-            fn = _pick(_bound_table_impl, _bound_table_nb) if HAVE_NUMBA else _bound_table_impl
-            tab = fn(d)
+            tab = [[]] + [[macaulay_bound(a, t) for a in range(d + 1 - t)] for t in range(1, d)]
             _table_cache[d] = tab
         return tab
 
@@ -341,44 +245,23 @@ def bound_table(d: int) -> np.ndarray:
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s."""
     _check_degree(d)
-    tarr = np.array(sorted(set(int(g) for g in targets)), dtype=np.int64)
-    if tarr.size == 0:
+    tlist = sorted({int(g) for g in targets})
+    if not tlist:
         return {}
-    tab = bound_table(d)
-    fn = _pick(_search_fixed_both_impl, _search_fixed_both_nb) if HAVE_NUMBA else _search_fixed_both_impl
-    found, wit = fn(d, s, tarr, tab)
-    return {
-        int(tarr[i]): tuple(int(x) for x in wit[i])
-        for i in range(tarr.size)
-        if found[i]
-    }
+    wit = _search_fixed_both_impl(d, s, tlist, bound_table(d))
+    return {g: w for g, w in zip(tlist, wit) if w is not None}
 
 
 def search_multiplicity(d: int, target: int):
     """First witness of ``target`` among all multiplicity-d sequences, or None."""
     _check_degree(d)
-    tab = bound_table(d)
-    fn = _pick(_search_multiplicity_impl, _search_multiplicity_nb) if HAVE_NUMBA else _search_multiplicity_impl
-    res = fn(d, int(target), tab)
-    n = int(res[0])
-    if n == 0:
-        return None
-    return tuple(int(x) for x in res[1 : 1 + n])
+    return _search_multiplicity_impl(d, int(target), bound_table(d))
 
 
-def brute_force_attained(d: int):
-    """(attained[genus, length], sequence count) by exhaustive generation."""
+def brute_force_attained(d: int) -> tuple[list[int], int]:
+    """(per-length genus bitmasks, sequence count) by exhaustive generation."""
     _check_degree(d)
-    tab = bound_table(d)
-    fn = _pick(_brute_force_impl, _brute_force_nb) if HAVE_NUMBA else _brute_force_impl
-    return fn(d, tab)
-
-
-def warm_up(d: int = 12):
-    """Trigger JIT compilation of every kernel on a small degree."""
-    search_fixed_both(d, 4, [5])
-    search_multiplicity(d, 3)
-    brute_force_attained(d)
+    return _brute_force_impl(d, bound_table(d))
 
 
 def clear_kernel_caches():

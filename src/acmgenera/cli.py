@@ -11,14 +11,12 @@ import argparse
 import csv
 import gc
 import json
-import os
 import sys
 from math import comb
 from time import perf_counter
 
 from . import clear_caches
-from ._kernels import HAVE_NUMBA, get_backend, set_backend
-from .continuity import m_sequence, save_cache
+from .continuity import m_sequence
 from .errors import BudgetError, EmptyFamilyError, MembershipError, UnattainableGenusError
 from .macaulay import format_oseq, hilbert_data, is_admissible, parse_oseq
 from .ranges import certified_gaps, range_table
@@ -54,7 +52,7 @@ def _classification_json(cls):
 
 
 def _cmd_genera(args) -> int:
-    cls = acm_genera(args.d, parallel=args.parallel, cache=args.cache)
+    cls = acm_genera(args.d, parallel=args.parallel)
     oracle_ok = None
     if args.oracle:
         reference = brute_force_genera(args.d)
@@ -234,7 +232,7 @@ def _timed_run(d: int, parallel: int) -> dict:
     finally:
         gc.enable()
     return {
-        "backend": get_backend(),
+        "backend": "python",
         "step1_ms": timings["step1"] * 1e3,
         "step2_ms": timings["step2"] * 1e3,
         "step3_ms": timings["step3"] * 1e3,
@@ -244,16 +242,8 @@ def _timed_run(d: int, parallel: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    backends = [get_backend()]
-    if args.compare_backends and HAVE_NUMBA:
-        backends = ["numba", "python"]
-    original = get_backend()
-    results = []
-    for backend in backends:
-        set_backend(backend)
-        acm_genera(args.d, parallel=args.parallel)  # warm-up, excluded from timing
-        results.append(_timed_run(args.d, args.parallel))
-    set_backend(original)
+    acm_genera(args.d, parallel=args.parallel)  # warm-up, excluded from timing
+    results = [_timed_run(args.d, args.parallel)]
 
     visit = None
     if args.d <= 40:
@@ -279,12 +269,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cache_write(args) -> int:
-    save_cache(args.path, args.dmax)
-    print(f"wrote {args.dmax} records to {args.path}")
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="acmgenera", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,7 +277,6 @@ def build_parser() -> _Parser:
     p.add_argument("d", type=int)
     p.add_argument("--oracle", action="store_true", help="cross-check against exhaustive generation")
     p.add_argument("--parallel", type=int, default=1, metavar="N")
-    p.add_argument("--cache", default=os.environ.get("ACM_CACHE"), metavar="PATH")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(fn=_cmd_genera)
 
@@ -339,14 +322,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="per-step timings, warm-up excluded")
     p.add_argument("d", type=int)
     p.add_argument("--parallel", type=int, default=1, metavar="N")
-    p.add_argument("--compare-backends", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("cache-write", help="persist certain-genera records to a file")
-    p.add_argument("dmax", type=int)
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_cache_write)
 
     return parser
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import threading
 from math import comb
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class GenusSet:
@@ -135,86 +134,3 @@ def continuity_prefix(d: int) -> GenusSet:
 def clear_continuity_caches():
     with _mask_lock:
         del _mask_cache[2:]
-
-
-# ---------------------------------------------------------------------------
-# advisory on-disk cache: one line per degree, "d <d> m <m_d> genera <hex>"
-
-
-def save_cache(path, dmax: int):
-    """Write the certain-genera records for degrees 1..dmax."""
-    masks = _certain_masks(dmax)
-    ms = m_sequence(dmax)
-    lines = [
-        f"d {m} m {ms[m - 1]} genera {format(masks[m], 'x')}" for m in range(1, dmax + 1)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_cache(path) -> dict[int, GenusSet]:
-    """Read back cache records, silently dropping malformed or stale ones.
-
-    A record is kept only if it parses, stays inside its degree's universe,
-    matches the independently recomputed m threshold, and covers the whole
-    prefix 0..m_d.  Anything else is recomputed by the caller.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return {}
-    records: dict[int, GenusSet] = {}
-    degrees: list[int] = []
-    parsed: dict[int, tuple[int, int]] = {}
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) != 6 or parts[0] != "d" or parts[2] != "m" or parts[4] != "genera":
-            continue
-        try:
-            d = int(parts[1])
-            m = int(parts[3])
-            bits = int(parts[5], 16)
-        except ValueError:
-            continue
-        if d < 1 or bits < 0 or bits != bits & GenusSet.universe_mask(d):
-            continue
-        parsed[d] = (m, bits)
-        degrees.append(d)
-    if not parsed:
-        return {}
-    ms = m_sequence(max(degrees))
-    for d, (m, bits) in parsed.items():
-        if m != ms[d - 1]:
-            continue  # stale
-        if bits & ((1 << (m + 1)) - 1) != (1 << (m + 1)) - 1:
-            continue  # prefix 0..m_d must be covered
-        records[d] = GenusSet(d, bits)
-    return records
-
-
-def warm_from_cache(path: Optional[str]) -> bool:
-    """Seed the in-memory recursion with a consistent prefix of cache records.
-
-    Records are only usable if they form an unbroken chain 1..k that also
-    satisfies the monotone-inclusion property of the recursion; the first
-    inconsistency stops the seeding.  Returns True if anything was adopted.
-    """
-    if not path:
-        return False
-    records = load_cache(path)
-    adopted = []
-    prev_bits = None
-    for d in range(1, len(records) + 2):
-        if d not in records:
-            break
-        bits = records[d].bits
-        if prev_bits is not None and prev_bits & bits != prev_bits:
-            break
-        adopted.append(bits)
-        prev_bits = bits
-    if len(adopted) < 3:
-        return False
-    with _mask_lock:
-        if len(adopted) > len(_mask_cache) - 1:
-            del _mask_cache[1:]
-            _mask_cache.extend(adopted)
-    return True

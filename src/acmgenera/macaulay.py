@@ -6,9 +6,7 @@ trailing zeros are never stored, and ``s = len(h)`` is the length.  The
 multiplicity is the sum of the entries; for a curve it equals the degree.
 Tuples are immutable, so sequences can be shared freely between workers.
 
-All arithmetic is exact (Python integers), so no overflow is possible on
-this layer.  The compiled kernels in :mod:`acmgenera._kernels` use 64-bit
-integers with an explicit degree guard instead.
+All arithmetic is exact (Python integers), so no overflow is possible.
 """
 from __future__ import annotations
 

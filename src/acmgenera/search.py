@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from time import perf_counter
 
 from . import _kernels
-from .continuity import GenusSet, certain_genera, save_cache, warm_from_cache
+from .continuity import GenusSet, certain_genera
 from .errors import BudgetError
 from .macaulay import genus
 from .ranges import GapCertificate, certified_gaps, max_genus, min_genus
@@ -52,18 +53,24 @@ def genus_search(g: int, family: TreeFamily):
 
 def brute_force_genera(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE) -> GenusSet:
     """Genera of degree ``d`` by exhaustive generation (independent oracle)."""
-    attained, _ = _brute_force_guarded(d, limit)
-    out = GenusSet(d)
-    for g in range(attained.shape[0]):
-        if attained[g].any():
-            out.add(g)
-    return out
+    masks, _ = _brute_force_guarded(d, limit)
+    bits = 0
+    for m in masks:
+        bits |= m
+    return GenusSet(d, bits)
 
 
 def brute_force_length_profile(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE):
     """Boolean matrix attained[genus, length] by exhaustive generation."""
-    attained, _ = _brute_force_guarded(d, limit)
-    return attained.astype(bool)
+    # imported here so that importing the package does not load numpy
+    import numpy as np
+
+    masks, _ = _brute_force_guarded(d, limit)
+    attained = np.zeros((comb(d - 1, 2) + 1, d + 1), dtype=bool)
+    for s, m in enumerate(masks):
+        for g in GenusSet(d, m):
+            attained[g, s] = True
+    return attained
 
 
 def count_osequences(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE) -> int:
@@ -97,18 +104,19 @@ class DegreeClassification:
     def gap_values(self) -> list[int]:
         return [c.value for c in self.gaps]
 
+    @cached_property
+    def _gap_reasons(self) -> dict[int, str]:
+        return {c.value: c.reason for c in self.gaps}
+
     def provenance_of(self, value: int) -> str:
         """One of step1, step2, searched, post-loop (the last two are step 3)."""
         if value in self.certain:
             return "step1"
         if value in self.witnesses:
             return "searched"
-        reasons = getattr(self, "_gap_reasons", None)
-        if reasons is None:
-            reasons = {c.value: c.reason for c in self.gaps}
-            self._gap_reasons = reasons
-        if value in reasons:
-            return "step2" if reasons[value] != "searched" else "post-loop"
+        reason = self._gap_reasons.get(value)
+        if reason is not None:
+            return "step2" if reason != "searched" else "post-loop"
         return "searched"
 
 
@@ -127,7 +135,6 @@ def _run_searches(d: int, s: int, targets: list[int], parallel: int) -> dict[int
 def acm_genera(
     d: int,
     parallel: int = 1,
-    cache: str | None = None,
     timings: dict[str, float] | None = None,
 ) -> DegreeClassification:
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
@@ -151,7 +158,6 @@ def acm_genera(
             timings.update({"step1": 0.0, "step2": 0.0, "step3": 0.0})
         return DegreeClassification(d, genera, [], {}, certain, stats)
 
-    warm_from_cache(cache)
     t0 = perf_counter()
     certain = certain_genera(d)
     t1 = perf_counter()
@@ -211,9 +217,4 @@ def acm_genera(
         raise RuntimeError(f"genera and gaps do not partition the range for d={d}")
     if timings is not None:
         timings.update({"step1": t1 - t0, "step2": t2 - t1, "step3": perf_counter() - t2})
-    if cache:
-        try:
-            save_cache(cache, d)  # persist the recursion for later invocations
-        except OSError:
-            pass  # the cache is advisory; an unwritable path is not an error
     return DegreeClassification(d, genera, gaps, witnesses, certain, stats)

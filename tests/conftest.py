@@ -2,18 +2,11 @@
 
 The reference generator below enumerates O-sequences by direct recursive
 extension of prefixes, using only the growth bound; it never touches the
-tree machinery or the compiled kernels, so it can vouch for both.
+tree machinery or the search kernels, so it can vouch for both.
 """
 from functools import lru_cache
 
-import pytest
-
 import acmgenera as ag
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    ag.warm_up()
 
 
 @lru_cache(maxsize=None)

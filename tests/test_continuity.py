@@ -1,12 +1,6 @@
 import pytest
 
 from acmgenera import GenusSet, binomial, certain_genera, continuity_prefix, m_sequence
-from acmgenera.continuity import (
-    clear_continuity_caches,
-    load_cache,
-    save_cache,
-    warm_from_cache,
-)
 from acmgenera.search import brute_force_genera
 
 # the published thresholds for degrees 1..45
@@ -86,52 +80,3 @@ def test_prefix_inside_certain_genera():
     for d in range(1, 101):
         certain = certain_genera(d)
         assert all(g in certain for g in continuity_prefix(d)), d
-
-
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "genera.cache"
-    save_cache(path, 20)
-    records = load_cache(path)
-    assert sorted(records) == list(range(1, 21))
-    for d in (1, 7, 20):
-        assert records[d] == certain_genera(d)
-    text = path.read_text()
-    assert text.splitlines()[6].startswith("d 7 m 4 genera ")
-
-
-def test_cache_rejects_corrupt_and_stale(tmp_path):
-    path = tmp_path / "genera.cache"
-    save_cache(path, 12)
-    lines = path.read_text().splitlines()
-    lines[5] = "d 6 m 4 genera 457"  # wrong threshold: stale
-    lines[7] = "d 8 m 7 genera zzzz"  # unparseable bits
-    lines.append("junk line")
-    lines.append("d x m 0 genera 1")
-    path.write_text("\n".join(lines) + "\n")
-    records = load_cache(path)
-    assert 6 not in records and 8 not in records
-    assert 5 in records and 7 in records and 12 in records
-
-
-def test_cache_rejects_bits_outside_universe(tmp_path):
-    path = tmp_path / "genera.cache"
-    save_cache(path, 6)
-    lines = path.read_text().splitlines()
-    lines[4] = "d 5 m 3 genera ffffffff"  # 32 bits, universe is C(4,2)+1 = 7
-    path.write_text("\n".join(lines) + "\n")
-    assert 5 not in load_cache(path)
-
-
-def test_cache_missing_file():
-    assert load_cache("/nonexistent/genera.cache") == {}
-    assert warm_from_cache(None) is False
-    assert warm_from_cache("/nonexistent/genera.cache") is False
-
-
-def test_warm_from_cache_adopts_consistent_prefix(tmp_path):
-    path = tmp_path / "genera.cache"
-    save_cache(path, 25)
-    clear_continuity_caches()
-    assert warm_from_cache(path) is True
-    assert len(certain_genera(25)) == 176
-    clear_continuity_caches()
