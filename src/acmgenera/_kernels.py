@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-
-from .macaulay import macaulay_bound
+from math import comb
 
 KERNEL_MAX_DEGREE = 1 << 20
 
@@ -33,6 +32,13 @@ def _search_fixed_both_impl(d, s, targets, bounds):
     genus reaches the largest unfound target.  Each target's witness is the
     first vertex of its genus in preorder; returns one witness or None per
     target.
+
+    A vertex has at most two children.  Along a tree path the incremented
+    positions never decrease, so at a vertex created by an increment at J
+    every entry past J is 1; since macaulay_bound(1, t) = 1, no j >= J + 2
+    is admissible.  The child loop therefore tries only j = J and J + 1
+    (j = 2 at the root, J = 1 there), which skips only failing candidates
+    and leaves the preorder unchanged.
     """
     nt = len(targets)
     wit = [None] * nt
@@ -55,13 +61,17 @@ def _search_fixed_both_impl(d, s, targets, bounds):
     nx = [0] * (d + 2)  # next child index to try, per depth
     js = [0] * (d + 2)  # child index that created each depth
     nx[0] = 2
+    js[0] = 1
     depth = 0
     while depth >= 0:
         advanced = False
         if h[1] >= 2:
             b1 = row1[h[1] - 1]
             j = nx[depth]
-            while j <= s - 1:
+            jtop = js[depth] + 1
+            if jtop > s - 1:
+                jtop = s - 1
+            while j <= jtop:
                 if j == 2:
                     ok = h[2] + 1 <= b1
                 else:
@@ -232,12 +242,28 @@ def bound_table(d: int) -> list[list[int]]:
     A multiplicity-d sequence with an entry a at position t >= 1 has at
     least t + 1 entries, all positive, so a + t <= d covers every lookup the
     kernels make; an index past that raises instead of reading a wrong bound.
+
+    The rows are filled by the greedy-expansion recurrence that
+    :func:`acmgenera.macaulay.expand` carries out term by term: row 1 is
+    a(a+1)/2, and for t >= 2, writing a = C(k,t) + r with k largest,
+    B(a,t) = C(k+1,t+1) + B(r,t-1), where r <= a <= d - t lies in row t-1.
+    k only grows with a, so each entry costs one addition.
     """
     _check_degree(d)
     with _table_lock:
         tab = _table_cache.get(d)
         if tab is None:
-            tab = [[]] + [[macaulay_bound(a, t) for a in range(d + 1 - t)] for t in range(1, d)]
+            tab = [[], [a * (a + 1) // 2 for a in range(d)]][:d]  # no rows at d = 1
+            for t in range(2, d):
+                prev = tab[t - 1]
+                row = [0]
+                k, low, high, shifted = t, 1, t + 1, 1  # C(k,t), C(k+1,t), C(k+1,t+1)
+                for a in range(1, d + 1 - t):
+                    if a == high:
+                        k += 1
+                        low, high, shifted = high, comb(k + 1, t), comb(k + 1, t + 1)
+                    row.append(shifted + prev[a - low])
+                tab.append(row)
             _table_cache[d] = tab
         return tab
 

@@ -5,6 +5,9 @@ Restricting the h-vector length to ``s`` confines it further to the
 ``(d, s)``-range ``[C(s-1,2), max_genus(d, s)]``.  The maximum is computed by
 an exact one-unit-per-step recursion in the multiplicity; for
 ``s >= d//2 + 1`` it collapses to the closed form ``C(s-1,2) + C(d-s,2)``.
+The recursion is kept as one row per length: the positions incremented and
+the running genus, extended on demand, so every degree shares the steps of
+the smaller ones and ``max_genus`` is a lookup.
 
 Two closed-form rules certify gaps without any search: the integers strictly
 between a range and the next one when those are separated, and the top few
@@ -39,8 +42,60 @@ def min_oseq(d: int, s: int) -> tuple[int, ...]:
     return (1, d - s + 1) + (1,) * (s - 2)
 
 
-_max_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+class _MaxRow:
+    """The genus-maximal sequences of one length s, one multiplicity at a time.
+
+    ``steps[m - s - 1]`` is the position incremented to go from multiplicity
+    m - 1 to m, and ``genera[m - s]`` is the genus at multiplicity m.  ``h``
+    is the sequence at the last multiplicity reached and ``last`` the highest
+    index holding an entry >= 2 (0 while there is none).
+    """
+
+    __slots__ = ("h", "steps", "genera", "last")
+
+    def __init__(self, s: int):
+        self.h = [1] * s
+        self.steps: list[int] = []
+        self.genera = [binomial(s - 1, 2)]
+        self.last = 0
+
+    def extend_to(self, d: int):
+        """Take the row on to multiplicity ``d``.
+
+        Each step increments the highest index that keeps the sequence
+        admissible (position 1 is always legal).  Every entry past ``last``
+        is 1 and macaulay_bound(1, t) = 1, so no index above ``last + 1``
+        can pass and the scan starts there.
+        """
+        h, steps, genera = self.h, self.steps, self.genera
+        s = len(h)
+        for _ in range(len(steps) + s, d):
+            i = min(s - 1, self.last + 1)
+            while i > 1 and h[i] + 1 > macaulay_bound(h[i - 1], i - 1):
+                i -= 1
+            h[i] += 1
+            if i > self.last:
+                self.last = i
+            steps.append(i)
+            genera.append(genera[-1] + i - 1)
+
+
+_max_rows: dict[int, _MaxRow] = {}
 _max_lock = threading.Lock()
+
+
+def _max_row(d: int, s: int) -> _MaxRow:
+    """The length-s row, extended through multiplicity ``d``."""
+    if s < 2 and (d, s) != (1, 1):
+        raise EmptyFamilyError(f"no O-sequence of length {s} has multiplicity {d}")
+    if d < s:
+        raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
+    with _max_lock:
+        row = _max_rows.get(s)
+        if row is None:
+            row = _max_rows[s] = _MaxRow(s)
+        row.extend_to(d)
+        return row
 
 
 def max_oseq(d: int, s: int) -> tuple[int, ...]:
@@ -48,35 +103,19 @@ def max_oseq(d: int, s: int) -> tuple[int, ...]:
 
     Built one multiplicity at a time from ``(1^s)``: each step increments the
     entry at the highest index that keeps the sequence admissible (position 1
-    is always legal).
+    is always legal).  One row per length keeps the steps, so a degree reuses
+    those of smaller degrees.
     """
-    if s < 2:
-        if s == 1 and d == 1:
-            return (1,)
-        raise EmptyFamilyError(f"no O-sequence of length {s} has multiplicity {d}")
-    if d < s:
-        raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
-    with _max_lock:
-        h = list(_max_cache.get((s, s), (1,) * s))
-        start = s
-        for m in range(d, s, -1):
-            if (s, m) in _max_cache:
-                h = list(_max_cache[(s, m)])
-                start = m
-                break
-        for m in range(start + 1, d + 1):
-            for i in range(s - 1, 0, -1):
-                if i == 1 or h[i] + 1 <= macaulay_bound(h[i - 1], i - 1):
-                    h[i] += 1
-                    break
-            _max_cache[(s, m)] = tuple(h)
-        _max_cache.setdefault((s, s), (1,) * s)
-        return tuple(h)
+    row = _max_row(d, s)
+    h = [1] * s
+    for i in row.steps[: d - s]:
+        h[i] += 1
+    return tuple(h)
 
 
 def max_genus(d: int, s: int) -> int:
     """Largest genus attained by an O-sequence of multiplicity ``d``, length ``s``."""
-    return genus(max_oseq(d, s))
+    return _max_row(d, s).genera[d - s]
 
 
 def closed_max_genus(d: int, s: int) -> int:
@@ -183,14 +222,16 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     for s in sorted(separated_after(d)):
         top = closed_max_genus(d, s)  # separated lengths satisfy s >= d//2 + 1
         for value in range(top + 1, min_genus(s + 1)):
-            by_value.setdefault(value, GapCertificate(value, "between-ranges", s=s))
+            if value not in by_value:
+                by_value[value] = GapCertificate(value, "between-ranges", s)
 
     if d // 2 + 1 >= 7:
         for s in range(d // 2 + 1, d - 3):
             top = closed_max_genus(d, s)
-            for i in range(1, d - s - 2):
-                if s - 1 - binomial(d - s, 2) + i > 0:
-                    by_value.setdefault(top - i, GapCertificate(top - i, "hole-always-gap", s=s, i=i))
+            # hole i lies below the next range's minimum iff s - 1 - C(d-s,2) + i > 0
+            for i in range(max(1, binomial(d - s, 2) - s + 2), d - s - 2):
+                if top - i not in by_value:
+                    by_value[top - i] = GapCertificate(top - i, "hole-always-gap", s, i)
 
     return [by_value[v] for v in sorted(by_value)]
 
@@ -212,4 +253,4 @@ def range_complement(d: int) -> list[int]:
 
 def clear_range_caches():
     with _max_lock:
-        _max_cache.clear()
+        _max_rows.clear()

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from acmgenera import (
     EmptyFamilyError,
     binomial,
     certified_gaps,
+    clear_caches,
     genus,
     genus_range,
     holes,
@@ -15,6 +18,7 @@ from acmgenera import (
     separated_after,
     total_compare,
 )
+from acmgenera import ranges
 from acmgenera.ranges import closed_max_genus, closed_max_oseq, range_complement
 from acmgenera.search import brute_force_genera, brute_force_length_profile
 from conftest import reference_genera_by_length, reference_sequences
@@ -84,6 +88,24 @@ def test_extremes_against_enumeration():
             seqs = [h for h in reference_sequences(d) if len(h) == s]
             top = max_oseq(d, s)
             assert all(h == top or total_compare(h, top) == -1 for h in seqs), (d, s)
+
+
+def test_max_rows_do_not_depend_on_order():
+    pairs = [(d, s) for d in range(2, 61) for s in range(2, d + 1)]
+    clear_caches()
+    expected = {(d, s): (max_oseq(d, s), max_genus(d, s)) for d, s in pairs}
+    shuffled = pairs[:]
+    random.Random(3).shuffle(shuffled)
+    for order in (pairs[::-1], shuffled):
+        clear_caches()
+        got = {(d, s): (max_oseq(d, s), max_genus(d, s)) for d, s in order}
+        assert got == expected
+    for (d, s), (top, g) in expected.items():
+        if d <= 14:
+            seqs = {h for h in reference_sequences(d) if len(h) == s}
+            assert top in seqs and genus(top) == g == max(map(genus, seqs)), (d, s)
+    clear_caches()
+    assert not ranges._max_rows
 
 
 def test_separated_examples():
