@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Drop every in-memory memo (bound tables, range rows, degree recursion).
+    """Drop every in-memory memo (bound tables, genus profiles, range rows, degree recursion).
 
     This lets a benchmark time cold computations after a warm-up run.
     """

@@ -1,15 +1,18 @@
-"""Hot search kernels: the pruned tree walks and the exhaustive enumeration.
+"""Hot search kernels: the pruned tree walks, the exhaustive enumeration and
+the per-length genus profile.
 
 The depth-first searches and the exhaustive enumeration dominate the runtime
 of a degree classification.  They are written as explicit-stack loops over
 plain lists, reading the growth bound from a per-degree table of
-:func:`acmgenera.macaulay.macaulay_bound` values.
+:func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
+dynamic program reads the same table.
 """
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
 from math import comb
+from typing import Iterator
 
 KERNEL_MAX_DEGREE = 1 << 20
 
@@ -31,7 +34,7 @@ def _search_fixed_both_impl(d, s, targets, bounds):
     j - 1 along each edge, so a subtree is pruned as soon as its root's
     genus reaches the largest unfound target.  Each target's witness is the
     first vertex of its genus in preorder; returns one witness or None per
-    target.
+    target.  Needs s <= d.
 
     A vertex has at most two children.  Along a tree path the incremented
     positions never decrease, so at a vertex created by an increment at J
@@ -40,6 +43,8 @@ def _search_fixed_both_impl(d, s, targets, bounds):
     (j = 2 at the root, J = 1 there), which skips only failing candidates
     and leaves the preorder unchanged.
     """
+    if s == 1:  # only (1,), of multiplicity 1 and genus 0
+        return [(1,) if d == 1 and t == 0 else None for t in targets]
     nt = len(targets)
     wit = [None] * nt
     h = [1] * s
@@ -229,11 +234,72 @@ def _brute_force_impl(d, bounds):
     return masks, count
 
 
+def _length_profile_impl(d, bounds):
+    """Per-length genus bitmasks by a running-OR dynamic program, no witnesses.
+
+    A state (t, v, u) stands for the prefixes h_0..h_t with h_t = v and
+    entry sum u < d; it holds the bitmask of their partial genera
+    sum_{2 <= i <= t} (i-1) h_i.  Appending w at position t + 1 is allowed
+    iff w <= bounds[t][v] and u + w <= d, and shifts the mask left by t*w;
+    a prefix whose sum reaches d closes a sequence of length t + 2.  The
+    bound is increasing in v, so with one u's nonempty states taken in
+    descending v, the values w in (bounds[t][v'], bounds[t][v]], v' the
+    next state below v, follow exactly the states seen so far: a running OR
+    hands each target state its mask in one shift, and the states that can
+    close are a prefix.  Only nonempty states are kept.
+
+    Yields masks[0], masks[1], ..., masks[d], the same masks as
+    :func:`_brute_force_impl` returns.  Layer t yields its closed length
+    t + 2 before it builds layer t + 1, so a caller that needs only the
+    short lengths stops the program early.
+    """
+    yield 0
+    yield int(d == 1)  # (1,)
+    if d == 1:
+        return
+    yield 1  # (1, d-1)
+    # states[u]: (v, mask) pairs of layer t in descending v; t = 1 holds (1, u-1)
+    states = [[(u - 1, 1)] if u >= 2 else [] for u in range(d)]
+    for t in range(1, d - 1):
+        row_b = bounds[t]
+        closed = 0
+        for u in range(t + 1, d):
+            room = d - u
+            acc = 0
+            for v, m in states[u]:
+                if row_b[v] < room:
+                    break
+                acc |= m
+            closed |= acc << (t * room)
+        yield closed
+        nxt = [[] for _ in range(d)]
+        for u in range(t + 1, d):
+            row = states[u]
+            room = d - u
+            acc = 0
+            n = len(row)
+            for i in range(n):
+                v, m = row[i]
+                acc |= m
+                lo = row_b[row[i + 1][0]] + 1 if i + 1 < n else 1
+                if lo >= room:
+                    continue
+                hi = row_b[v]
+                if hi >= room:
+                    hi = room - 1
+                m = acc << (t * lo)
+                for w in range(lo, hi + 1):
+                    nxt[u + w].append((w, m))  # sources run up in u, so w runs down
+                    m <<= t
+        states = nxt
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
 _table_cache: dict[int, list[list[int]]] = {}
-_table_lock = threading.Lock()
+_profile_cache: dict[int, tuple[list[int], Iterator[int]]] = {}
+_cache_lock = threading.Lock()
 
 
 def bound_table(d: int) -> list[list[int]]:
@@ -250,7 +316,7 @@ def bound_table(d: int) -> list[list[int]]:
     k only grows with a, so each entry costs one addition.
     """
     _check_degree(d)
-    with _table_lock:
+    with _cache_lock:
         tab = _table_cache.get(d)
         if tab is None:
             tab = [[], [a * (a + 1) // 2 for a in range(d)]][:d]  # no rows at d = 1
@@ -290,6 +356,55 @@ def brute_force_attained(d: int) -> tuple[list[int], int]:
     return _brute_force_impl(d, bound_table(d))
 
 
+def _profile_prefix(d: int, s: int) -> list[int]:
+    """Degree d's cached genus profile, final through masks[s] (all d + 1 masks once s >= d).
+
+    The dynamic program runs one layer per length and resumes where the
+    previous call stopped, so a query answered at a short length never pays
+    for the long ones.
+    """
+    entry = _profile_cache.get(d)
+    if entry is None:
+        bounds = bound_table(d)  # outside the lock, which bound_table takes
+        with _cache_lock:
+            entry = _profile_cache.setdefault(d, ([], _length_profile_impl(d, bounds)))
+    masks, layers = entry
+    with _cache_lock:
+        while len(masks) <= s:
+            m = next(layers, None)
+            if m is None:
+                break
+            masks.append(m)
+    return masks
+
+
+def length_profile(d: int) -> tuple[int, ...]:
+    """masks[s]: bit g is set iff some multiplicity-d O-sequence of length s has genus g.
+
+    Built once per degree by the running-OR dynamic program, which reads the
+    same ``bound_table(d)`` rows as the searches.
+    """
+    _check_degree(d)
+    return tuple(_profile_prefix(d, d))
+
+
+def shortest_length(d: int, g: int):
+    """Least s such that some multiplicity-d O-sequence of length s has genus g, or None.
+
+    A length-s sequence has genus at least C(s-1, 2), so the profile is
+    built only up to the answer, or for a gap up to the last length whose
+    least genus is at most g.
+    """
+    _check_degree(d)
+    s = 1
+    while s <= d and (s - 1) * (s - 2) // 2 <= g:
+        if _profile_prefix(d, s)[s] >> g & 1:
+            return s
+        s += 1
+    return None
+
+
 def clear_kernel_caches():
-    with _table_lock:
+    with _cache_lock:
         _table_cache.clear()
+        _profile_cache.clear()

@@ -3,16 +3,19 @@
 For an aCM curve the regularity equals the length of its h-vector, which is
 the postulation regularity plus 2.  The minimum over all curves of degree
 ``d`` and genus ``g`` is therefore the shortest length of an O-sequence with
-that multiplicity and genus, found by scanning the lengths upward with the
-pruned genus search.
+that multiplicity and genus.  That length is read from the degree's
+per-length genus profile (:func:`~acmgenera._kernels.shortest_length`),
+built only up to it, and the pruned genus search runs once, at that
+length, for the witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
 
+from . import _kernels
 from .errors import UnattainableGenusError
-from .ranges import max_genus, min_genus
+from .ranges import max_genus  # noqa: F401  (perfbench/tracer.py wraps regularity.max_genus)
 from .search import genus_search
 from .trees import TreeFamily
 
@@ -39,16 +42,10 @@ def min_acm_regularity(d: int, g: int) -> RegularityAnswer:
         raise UnattainableGenusError(
             f"genus {g} exceeds C({d}-1, 2) = {comb(d - 1, 2)}", kind="out-of-range"
         )
-    if d == 1:
-        return RegularityAnswer(1, 0, 1, (1,), -1)
-    for s in range(2, d + 1):
-        if min_genus(s) > g:
-            break
-        if g > max_genus(d, s):
-            continue
-        witness = genus_search(g, TreeFamily.fixed_both(d, s))
-        if witness is not None:
-            return RegularityAnswer(d, g, s, witness, s - 2)
-    raise UnattainableGenusError(
-        f"genus {g} is a gap for degree {d}: no O-sequence attains it", kind="gap"
-    )
+    s = _kernels.shortest_length(d, g)
+    if s is None:
+        raise UnattainableGenusError(
+            f"genus {g} is a gap for degree {d}: no O-sequence attains it", kind="gap"
+        )
+    witness = genus_search(g, TreeFamily.fixed_both(d, s))
+    return RegularityAnswer(d, g, s, witness, s - 2)

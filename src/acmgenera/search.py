@@ -9,7 +9,6 @@ for whatever remains undecided.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -30,6 +29,9 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
+    On the fixed-multiplicity family, a genus absent from the degree's
+    per-length genus profile (:func:`~acmgenera._kernels.shortest_length`)
+    returns None without a walk.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -37,6 +39,8 @@ def genus_search(g: int, family: TreeFamily):
         hits = _kernels.search_fixed_both(family.d, family.s, [g])
         return hits.get(g)
     if family.kind == "multiplicity":
+        if _kernels.shortest_length(family.d, g) is None:
+            return None
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
     # position-1 edges, so only strictly larger genera are pruned
@@ -123,6 +127,9 @@ class DegreeClassification:
 def _run_searches(d: int, s: int, targets: list[int], parallel: int) -> dict[int, tuple[int, ...]]:
     if parallel <= 1 or len(targets) == 1:
         return _kernels.search_fixed_both(d, s, targets)
+    # imported here so that importing the package does not load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = [targets[i::parallel] for i in range(parallel)]
     chunks = [c for c in chunks if c]
     merged: dict[int, tuple[int, ...]] = {}

@@ -56,6 +56,8 @@ class TreeFamily:
                 raise EmptyFamilyError(
                     f"no O-sequence has multiplicity {self.d} and length {self.s}"
                 )
+            if self.s == 1 and self.d > 1:
+                raise EmptyFamilyError(f"no O-sequence of length 1 has multiplicity {self.d}")
 
     @classmethod
     def full(cls, cap: int) -> "TreeFamily":
@@ -104,9 +106,6 @@ def root_of(family: TreeFamily) -> tuple[int, ...]:
     d, s = family.d, family.s
     if d == s:
         return (1,) * s
-    if s == 1:
-        # only (1) has length 1, and it needs d == 1 (handled above via d == s)
-        raise EmptyFamilyError(f"no O-sequence of length 1 has multiplicity {d}")
     return (1, d - s + 1) + (1,) * (s - 2)
 
 

@@ -85,6 +85,12 @@ def test_search(capsys):
     assert code == 0 and out.strip() == "1,2,3,1"
     code, _, err = run_cli(["search", "4", "1", "--length", "9"], capsys)
     assert code == 2 and "no O-sequence" in err
+    code, out, _ = run_cli(["search", "1", "0", "--length", "1"], capsys)
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = run_cli(["search", "1", "1", "--length", "1"], capsys)
+    assert code == 0 and out.strip() == "none"
+    code, _, err = run_cli(["search", "5", "0", "--length", "1"], capsys)
+    assert code == 2 and "no O-sequence of length 1 has multiplicity 5" in err
 
 
 def test_ranges(capsys):
@@ -198,7 +204,10 @@ def test_cache_environment_variable_cannot_change_an_answer(tmp_path):
 
 
 def test_import_loads_neither_numpy_nor_numba():
-    code = "import sys, acmgenera, acmgenera.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    code = (
+        "import sys, acmgenera, acmgenera.cli; "
+        "print(sorted({'numpy', 'numba', 'concurrent.futures'} & set(sys.modules)))"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
-from acmgenera import TreeFamily, children, genus, iter_family, macaulay_bound
-from acmgenera._kernels import bound_table, search_fixed_both
+import acmgenera
+from acmgenera import TreeFamily, acm_genera, children, genus, iter_family, macaulay_bound
+from acmgenera import _kernels
+from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
 from conftest import pascal_bound
 
 
@@ -61,3 +63,59 @@ def test_search_fixed_both_returns_first_preorder_witness_of_every_genus():
             for h in iter_family(TreeFamily.fixed_both(d, s)):
                 first.setdefault(genus(h), h)
             assert search_fixed_both(d, s, targets) == first, (d, s)
+
+
+def test_length_profile_matches_exhaustive_generation():
+    for d in range(1, 31):
+        masks, _ = brute_force_attained(d)
+        assert length_profile(d) == tuple(masks), d
+
+
+def test_length_profile_union_matches_classification_past_the_exhaustive_oracle():
+    for d in [*range(31, 61), 100]:
+        union = 0
+        for m in length_profile(d):
+            union |= m
+        assert union == acm_genera(d).genera.bits, d
+
+
+def test_length_profile_agrees_with_single_target_search():
+    for d in range(2, 19):
+        masks = length_profile(d)
+        for s in range(2, d + 1):
+            for g in range(comb(d - 1, 2) + 2):
+                found = search_fixed_both(d, s, [g])
+                assert (g in found) == bool(masks[s] >> g & 1), (d, s, g)
+
+
+def test_clear_caches_drops_length_profile():
+    length_profile(12)
+    assert 12 in _kernels._profile_cache
+    acmgenera.clear_caches()
+    assert not _kernels._profile_cache
+    assert length_profile(12) == tuple(brute_force_attained(12)[0])
+
+
+def test_shortest_length_is_the_first_length_holding_g():
+    for d in range(1, 26):
+        masks = length_profile(d)
+        for g in range(comb(d - 1, 2) + 2):
+            first = next((s for s, m in enumerate(masks) if m >> g & 1), None)
+            assert _kernels.shortest_length(d, g) == first, (d, g)
+
+
+def test_short_lengths_build_only_a_prefix_of_the_profile():
+    acmgenera.clear_caches()
+    assert _kernels.shortest_length(300, 0) == 2
+    assert _kernels.shortest_length(300, 1) == 3
+    assert len(_kernels._profile_cache[300][0]) == 4  # masks[0..3] only
+    whole = length_profile(28)
+    acmgenera.clear_caches()
+    assert _kernels.shortest_length(28, 150) == 16
+    assert len(_kernels._profile_cache[28][0]) == 17
+    assert length_profile(28) == whole  # a resumed build equals a whole one
+
+
+def test_search_fixed_both_at_length_one():
+    assert search_fixed_both(1, 1, [0, 1]) == {0: (1,)}
+    assert search_fixed_both(5, 1, [0, 3]) == {}

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from acmgenera import (
@@ -8,6 +10,7 @@ from acmgenera import (
     min_acm_regularity,
     multiplicity,
 )
+from acmgenera._kernels import search_fixed_both
 from acmgenera.search import brute_force_length_profile
 from conftest import reference_sequences
 
@@ -86,3 +89,25 @@ def test_witness_hilbert_function_stabilizes_at_rho():
             assert data.curve[t] == d * t + 1 - g
         if rho >= 1:
             assert data.curve[rho - 1] != d * (rho - 1) + 1 - g
+
+
+def _scan_every_length(d, g):
+    """(length, witness) of the first length whose search finds g, or None."""
+    for s in range(2, d + 1):
+        found = search_fixed_both(d, s, [g])
+        if g in found:
+            return s, found[g]
+    return None
+
+
+def test_answers_match_a_search_at_every_length():
+    for d in range(2, 23):
+        for g in range(comb(d - 1, 2) + 1):
+            expected = _scan_every_length(d, g)
+            if expected is None:
+                with pytest.raises(UnattainableGenusError) as exc:
+                    min_acm_regularity(d, g)
+                assert exc.value.kind == "gap", (d, g)
+            else:
+                answer = min_acm_regularity(d, g)
+                assert (answer.min_regularity, answer.witness) == expected, (d, g)

@@ -4,6 +4,7 @@ import pytest
 
 from acmgenera import (
     BudgetError,
+    EmptyFamilyError,
     TreeFamily,
     acm_genera,
     brute_force_genera,
@@ -68,6 +69,28 @@ def test_genus_search_absent_iff_unattained():
             for g in range(max_genus(d, s) + 2):
                 found = genus_search(g, fam)
                 assert (found is not None) == (g in by_len), (d, s, g)
+
+
+def test_genus_search_is_none_exactly_on_oracle_gaps():
+    for d in range(2, 26):
+        genera = brute_force_genera(d)
+        family = TreeFamily.fixed_multiplicity(d)
+        for g in range(comb(d - 1, 2) + 1):
+            found = genus_search(g, family)
+            if g in genera:
+                assert found is not None and genus(found) == g and multiplicity(found) == d, (d, g)
+            else:
+                assert found is None, (d, g)
+
+
+def test_genus_search_at_length_one():
+    family = TreeFamily.fixed_both(1, 1)
+    assert genus_search(0, family) == (1,)
+    for g in (1, 2, 7):
+        assert genus_search(g, family) is None
+    for d in (2, 5, 40):
+        with pytest.raises(EmptyFamilyError, match="length 1"):
+            TreeFamily.fixed_both(d, 1)
 
 
 def test_batched_search_matches_fresh_searches():
