@@ -14,12 +14,21 @@ from bisect import bisect_left
 from math import comb
 from typing import Iterator
 
-KERNEL_MAX_DEGREE = 1 << 20
+from .errors import BudgetError
+
+# Memory grows about as d^3, and time faster, at every entry point.  At
+# d = 1000, on a 2-core x86_64 with Python 3.11.7, length_profile, the
+# largest, peaks at 274 MB resident in 22 s (149 MB at d = 800), and
+# acm_genera at 100 MB in 124 s.
+MAX_DEGREE = 1000
 
 
 def _check_degree(d: int):
-    if not 1 <= d <= KERNEL_MAX_DEGREE:
-        raise ValueError(f"kernel degree must be in [1, {KERNEL_MAX_DEGREE}], got {d}")
+    """Refuse a degree below 1, or above the budget before anything is allocated."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if d > MAX_DEGREE:
+        raise BudgetError(f"degree {d} exceeds the degree budget (limit {MAX_DEGREE})")
 
 
 # ---------------------------------------------------------------------------

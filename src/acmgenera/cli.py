@@ -52,7 +52,7 @@ def _classification_json(cls):
 
 
 def _cmd_genera(args) -> int:
-    cls = acm_genera(args.d, parallel=args.parallel)
+    cls = acm_genera(args.d)
     oracle_ok = None
     if args.oracle:
         reference = brute_force_genera(args.d)
@@ -221,13 +221,13 @@ def _cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def _timed_run(d: int, parallel: int) -> dict:
+def _timed_run(d: int) -> dict:
     clear_caches()
     timings: dict[str, float] = {}
     gc.disable()  # keep collector pauses out of the per-step numbers
     try:
         t0 = perf_counter()
-        cls = acm_genera(d, parallel=parallel, timings=timings)
+        cls = acm_genera(d, timings=timings)
         total = perf_counter() - t0
     finally:
         gc.enable()
@@ -242,8 +242,8 @@ def _timed_run(d: int, parallel: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    acm_genera(args.d, parallel=args.parallel)  # warm-up, excluded from timing
-    results = [_timed_run(args.d, args.parallel)]
+    acm_genera(args.d)  # warm-up, excluded from timing
+    results = [_timed_run(args.d)]
 
     visit = None
     if args.d <= 40:
@@ -276,7 +276,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("genera", help="classify every value of one degree")
     p.add_argument("d", type=int)
     p.add_argument("--oracle", action="store_true", help="cross-check against exhaustive generation")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(fn=_cmd_genera)
 
@@ -321,7 +320,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="per-step timings, warm-up excluded")
     p.add_argument("d", type=int)
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=_cmd_bench)
 

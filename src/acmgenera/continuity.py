@@ -12,6 +12,8 @@ import threading
 from math import comb
 from typing import Iterator
 
+from ._kernels import _check_degree
+
 
 class GenusSet:
     """Genus values of one degree, a dense bitmask over [0, C(d-1,2)]."""
@@ -61,13 +63,6 @@ class GenusSet:
     def to_list(self) -> list[int]:
         return list(self)
 
-    def to_hex(self) -> str:
-        return format(self.bits, "x")
-
-    @classmethod
-    def from_hex(cls, d: int, text: str) -> "GenusSet":
-        return cls(d, int(text, 16))
-
     def copy(self) -> "GenusSet":
         return GenusSet(self.d, self.bits)
 
@@ -99,8 +94,7 @@ def _certain_masks(d: int) -> list[int]:
 
 def certain_genera(d: int) -> GenusSet:
     """Genera of degree ``d`` certified by the shifted-union recursion alone."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(d)
     return GenusSet(d, _certain_masks(d)[d])
 
 
@@ -115,6 +109,7 @@ def m_sequence(dmax: int) -> list[int]:
     """
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
+    _check_degree(dmax)
     ms = [0]  # m_1
     for d in range(2, dmax + 1):
         m = ms[-1]

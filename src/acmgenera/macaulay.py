@@ -4,7 +4,6 @@ An O-sequence is represented throughout the package as a plain tuple of
 positive integers ``(1, h1, ..., h_{s-1})``: the first entry is always 1,
 trailing zeros are never stored, and ``s = len(h)`` is the length.  The
 multiplicity is the sum of the entries; for a curve it equals the degree.
-Tuples are immutable, so sequences can be shared freely between workers.
 
 All arithmetic is exact (Python integers), so no overflow is possible.
 """

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._kernels import _check_degree
 from .errors import EmptyFamilyError
 from .macaulay import binomial, genus, macaulay_bound
 
@@ -90,6 +91,7 @@ def _max_row(d: int, s: int) -> _MaxRow:
         raise EmptyFamilyError(f"no O-sequence of length {s} has multiplicity {d}")
     if d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
+    _check_degree(d)
     with _max_lock:
         row = _max_rows.get(s)
         if row is None:

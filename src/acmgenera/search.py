@@ -124,39 +124,21 @@ class DegreeClassification:
         return "searched"
 
 
-def _run_searches(d: int, s: int, targets: list[int], parallel: int) -> dict[int, tuple[int, ...]]:
-    if parallel <= 1 or len(targets) == 1:
-        return _kernels.search_fixed_both(d, s, targets)
-    # imported here so that importing the package does not load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [targets[i::parallel] for i in range(parallel)]
-    chunks = [c for c in chunks if c]
-    merged: dict[int, tuple[int, ...]] = {}
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        for part in pool.map(lambda c: _kernels.search_fixed_both(d, s, c), chunks):
-            merged.update(part)
-    return merged
-
-
-def acm_genera(
-    d: int,
-    parallel: int = 1,
-    timings: dict[str, float] | None = None,
-) -> DegreeClassification:
+def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
 
     Step 1 takes the certain genera from the degree recursion, step 2 the
-    closed-form gap certificates, and step 3 resolves the rest by searching
-    the fixed-(d, s) trees for s = 2 .. d-3 in order.  A value that drops
+    closed-form gap certificates, and step 3 resolves the rest with one
+    multi-target search of the fixed-(d, s) tree per length, run in the
+    calling thread for s = 2 .. d-3 in order.  A value that drops
     below the minimum of the current range without having been found is a
     gap; so is anything left at the end, after checking it lies outside the
     three remaining ranges (those are fully covered by step 1).
 
     ``timings``, when given, receives wall-clock seconds per step.
+    Raises :class:`BudgetError` for a degree above the kernels' degree budget.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    _kernels._check_degree(d)
     if d <= 2:
         genera = GenusSet.from_values(d, [0])
         certain = GenusSet.from_values(d, [0])
@@ -201,7 +183,7 @@ def acm_genera(
             step3_gaps.append(GapCertificate(g, "searched"))
             pending.remove(g)
         if targets:
-            hits = _run_searches(d, s, targets, parallel)
+            hits = _kernels.search_fixed_both(d, s, targets)
             for g in sorted(hits):
                 witnesses[g] = hits[g]
                 genera.add(g)

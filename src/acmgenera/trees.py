@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 
 from .errors import BudgetError, EmptyFamilyError, MembershipError
 from .macaulay import format_oseq, genus, is_admissible, multiplicity
+from .ranges import min_oseq
 
 PRECEDES_MAX_MULTIPLICITY = 20
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -103,10 +104,7 @@ def root_of(family: TreeFamily) -> tuple[int, ...]:
         return (1,) * family.s
     if family.kind == "multiplicity":
         return (1,) if family.d == 1 else (1, family.d - 1)
-    d, s = family.d, family.s
-    if d == s:
-        return (1,) * s
-    return (1, d - s + 1) + (1,) * (s - 2)
+    return min_oseq(family.d, family.s)
 
 
 def children(h, family: TreeFamily) -> list[tuple[int, ...]]:

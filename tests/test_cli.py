@@ -54,15 +54,6 @@ def test_genera_oracle_budget(capsys):
     assert "budget" in err
 
 
-def test_genera_parallel_byte_identical(capsys):
-    _, out1, _ = run_cli(["genera", "25", "--format", "json", "--parallel", "1"], capsys)
-    _, out4, _ = run_cli(["genera", "25", "--format", "json", "--parallel", "4"], capsys)
-    assert out1 == out4
-    _, csv1, _ = run_cli(["genera", "25", "--format", "csv", "--parallel", "1"], capsys)
-    _, csv3, _ = run_cli(["genera", "25", "--format", "csv", "--parallel", "3"], capsys)
-    assert csv1 == csv3
-
-
 def test_gaps(capsys):
     code, out, _ = run_cli(["gaps", "12", "--format", "json"], capsys)
     assert code == 0
@@ -171,10 +162,15 @@ def test_usage_errors_exit_1(capsys):
         cli.main(["genera"])
     assert exc.value.code == 1
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["genera", "7", "--format", "yaml"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+    for args in (
+        ["genera", "7", "--format", "yaml"],
+        ["genera", "7", "--parallel", "2"],
+        ["bench", "10", "--parallel", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 1, args
+        capsys.readouterr()
 
 
 def test_entry_point_subprocess():
@@ -185,6 +181,15 @@ def test_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == [0, 0, 1, 1, 3, 4, 4]
+
+
+def test_degree_budget_exits_3_within_seconds():
+    for args in (["search", "100000", "0"], ["genera", "100000"], ["ranges", "100000"], ["mseq", "100000"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 3, (args, result.stderr)
+        assert "budget exceeded" in result.stderr, args
 
 
 def test_cache_environment_variable_cannot_change_an_answer(tmp_path):

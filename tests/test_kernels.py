@@ -3,7 +3,20 @@ from math import comb
 import pytest
 
 import acmgenera
-from acmgenera import TreeFamily, acm_genera, children, genus, iter_family, macaulay_bound
+from acmgenera import (
+    BudgetError,
+    TreeFamily,
+    acm_genera,
+    certain_genera,
+    children,
+    genus,
+    genus_search,
+    iter_family,
+    m_sequence,
+    macaulay_bound,
+    max_genus,
+    min_acm_regularity,
+)
 from acmgenera import _kernels
 from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
 from conftest import pascal_bound
@@ -119,3 +132,28 @@ def test_short_lengths_build_only_a_prefix_of_the_profile():
 def test_search_fixed_both_at_length_one():
     assert search_fixed_both(1, 1, [0, 1]) == {0: (1,)}
     assert search_fixed_both(5, 1, [0, 3]) == {}
+
+
+def test_degree_budget_refuses_every_entry_point_before_allocating():
+    limit = _kernels.MAX_DEGREE
+    over = limit + 1
+    calls = [
+        lambda: acm_genera(over),
+        lambda: certain_genera(over),
+        lambda: m_sequence(over),
+        lambda: max_genus(over, 2),
+        lambda: bound_table(over),
+        lambda: length_profile(over),
+        lambda: _kernels.shortest_length(over, 0),
+        lambda: search_fixed_both(over, 2, [0]),
+        lambda: _kernels.search_multiplicity(over, 1),
+        lambda: genus_search(0, TreeFamily.fixed_multiplicity(over)),
+        lambda: min_acm_regularity(over, 0),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetError):
+            call()
+    assert max_genus(limit, limit) == comb(limit - 1, 2)  # the limit itself is allowed
+    for call in (lambda: acm_genera(0), lambda: certain_genera(0), lambda: bound_table(0)):
+        with pytest.raises(ValueError):
+            call()
