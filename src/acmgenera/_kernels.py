@@ -1,16 +1,16 @@
-"""Hot search kernels: the pruned tree walks, the exhaustive enumeration and
+"""Hot search kernels: one pruned tree walk, the exhaustive enumeration and
 the per-length genus profile.
 
-The depth-first searches and the exhaustive enumeration dominate the runtime
-of a degree classification.  They are written as explicit-stack loops over
-plain lists, reading the growth bound from a per-degree table of
+One depth-first walk searches both finite tree families, fixed multiplicity
+and fixed multiplicity and length.  It and the exhaustive enumeration
+dominate the runtime of a degree classification.  Both are explicit-stack
+loops over plain lists, reading the growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
 """
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from math import comb
 from typing import Iterator
 
@@ -35,45 +35,57 @@ def _check_degree(d: int):
 # kernel bodies
 
 
-def _search_fixed_both_impl(d, s, targets, bounds):
-    """Multi-target DFS over the tree of multiplicity-d, length-s sequences.
+def _search_impl(d, s, targets, bounds):
+    """Multi-target DFS over the tree of multiplicity-d sequences of length s,
+    or of every length when s is None.
 
-    ``targets`` is sorted ascending.  Children move one unit from position 1
-    to a position j >= the highest index already above 1; genus grows by
-    j - 1 along each edge, so a subtree is pruned as soon as its root's
-    genus reaches the largest unfound target.  Each target's witness is the
-    first vertex of its genus in preorder; returns one witness or None per
-    target.  Needs s <= d.
+    Children move one unit from position 1 to a position j >= J, the highest
+    position already raised; genus grows by j - 1 along each edge, so a
+    subtree is pruned as soon as its root's genus reaches the largest
+    unfound target.  Each target's witness is the first vertex of its genus
+    in preorder; returns {genus: witness} for the targets found.  Needs
+    s <= d.
 
-    A vertex has at most two children.  Along a tree path the incremented
-    positions never decrease, so at a vertex created by an increment at J
-    every entry past J is 1; since macaulay_bound(1, t) = 1, no j >= J + 2
-    is admissible.  The child loop therefore tries only j = J and J + 1
-    (j = 2 at the root, J = 1 there), which skips only failing candidates
-    and leaves the preorder unchanged.
+    The fixed-multiplicity tree is the same walk on the entries padded with
+    0 instead of 1 past the last one: the root is (1, d-1, 0, ..., 0), a
+    child at j = J raises the last entry and one at J + 1 appends a 1, and
+    each witness is cut after its last nonzero entry.
+
+    A vertex has at most two children.  Along a tree path the raised
+    positions never decrease, so at a vertex created by a move to J every
+    entry past J is 1 (or 0); since macaulay_bound(1, t) = 1, no
+    j >= J + 2 is admissible.  The child loop therefore tries only j = J and
+    J + 1 (j = 2 at the root, J = 1 there), which skips only failing
+    candidates and leaves the preorder unchanged.
     """
+    cut = s is None
+    if cut:
+        s = d
     if s == 1:  # only (1,), of multiplicity 1 and genus 0
-        return [(1,) if d == 1 and t == 0 else None for t in targets]
-    nt = len(targets)
-    wit = [None] * nt
-    h = [1] * s
-    h[1] = d - s + 1
-    g = (s - 1) * (s - 2) // 2
-    nrem = nt
-    hi = nt - 1
-
-    p = bisect_left(targets, g)
-    if p < nt and targets[p] == g:
-        wit[p] = tuple(h)
-        nrem -= 1
-        while hi >= 0 and wit[hi] is not None:
-            hi -= 1
-    if nrem == 0 or s < 3 or g >= targets[hi]:
-        return wit
+        return {0: (1,)} if d == 1 and 0 in targets else {}
+    if cut:
+        h = [0] * s
+        h[0], h[1] = 1, d - 1
+        g = 0
+    else:
+        h = [1] * s
+        h[1] = d - s + 1
+        g = (s - 1) * (s - 2) // 2
+    todo = set(targets)
+    found = {}
+    if g in todo:
+        found[g] = tuple(h[:2]) if cut else tuple(h)
+        todo.discard(g)
+    if not todo:
+        return found
+    pending = sorted(todo)  # pending[-1] is the largest unfound target
+    hi = pending[-1]
+    if s < 3 or g >= hi:
+        return found
 
     row1 = bounds[1]
-    nx = [0] * (d + 2)  # next child index to try, per depth
-    js = [0] * (d + 2)  # child index that created each depth
+    nx = [0] * (d + 2)  # next child position to try, per depth
+    js = [0] * (d + 2)  # position that created each depth
     nx[0] = 2
     js[0] = 1
     depth = 0
@@ -92,18 +104,19 @@ def _search_fixed_both_impl(d, s, targets, bounds):
                     ok = h[2] <= b1 and h[j] + 1 <= bounds[j - 1][h[j - 1]]
                 if ok:
                     gc = g + j - 1
-                    p = bisect_left(targets, gc)
-                    if p < nt and targets[p] == gc and wit[p] is None:
-                        w = h[:]
+                    if gc in todo:
+                        w = h[: j + 1] if cut else h[:]
                         w[1] -= 1
                         w[j] += 1
-                        wit[p] = tuple(w)
-                        nrem -= 1
-                        if nrem == 0:
-                            return wit
-                        while hi >= 0 and wit[hi] is not None:
-                            hi -= 1
-                    if gc < targets[hi]:
+                        found[gc] = tuple(w)
+                        todo.discard(gc)
+                        if not todo:
+                            return found
+                        if gc == hi:
+                            while pending[-1] not in todo:
+                                pending.pop()
+                            hi = pending[-1]
+                    if gc < hi:
                         nx[depth] = j + 1
                         h[1] -= 1
                         h[j] += 1
@@ -122,82 +135,7 @@ def _search_fixed_both_impl(d, s, targets, bounds):
             h[jj] -= 1
             g -= jj - 1
             depth -= 1
-    return wit
-
-
-def _search_multiplicity_impl(d, target, bounds):
-    """Single-target DFS over the tree of all multiplicity-d sequences.
-
-    Children either move one unit from position 1 onto the last entry
-    (kind 0) or onto a new trailing entry (kind 1); both raise the genus by
-    (child length) - 2 >= 1.  Returns the witness, or None.
-    """
-    if d == 1:
-        return (1,) if target == 0 else None
-    if target == 0:
-        return (1, d - 1)
-    h = [0] * (d + 2)
-    h[0] = 1
-    h[1] = d - 1
-    sl = 2
-    g = 0
-
-    row1 = bounds[1]
-    nk = [0] * (d + 3)  # next child kind to try, per depth
-    ak = [0] * (d + 3)  # kind that created each depth
-    depth = 0
-    while depth >= 0:
-        advanced = False
-        k = nk[depth]
-        while k <= 1 and not advanced:
-            if h[1] >= 2:
-                if k == 0:
-                    if sl >= 3:
-                        if sl == 3:
-                            ok = h[2] + 1 <= row1[h[1] - 1]
-                        else:
-                            ok = h[2] <= row1[h[1] - 1] and h[sl - 1] + 1 <= bounds[sl - 2][h[sl - 2]]
-                        if ok and g + sl - 2 <= target:
-                            h[1] -= 1
-                            h[sl - 1] += 1
-                            g += sl - 2
-                            if g == target:
-                                return tuple(h[:sl])
-                            nk[depth] = 1
-                            depth += 1
-                            nk[depth] = 0
-                            ak[depth] = 0
-                            advanced = True
-                else:
-                    ok = sl == 2 or h[2] <= row1[h[1] - 1]
-                    if ok and g + sl - 1 <= target:
-                        h[1] -= 1
-                        h[sl] = 1
-                        sl += 1
-                        g += sl - 2
-                        if g == target:
-                            return tuple(h[:sl])
-                        nk[depth] = 2
-                        depth += 1
-                        nk[depth] = 0
-                        ak[depth] = 1
-                        advanced = True
-            if not advanced:
-                k += 1
-        if not advanced:
-            if depth == 0:
-                break
-            if ak[depth] == 0:
-                h[1] += 1
-                h[sl - 1] -= 1
-                g -= sl - 2
-            else:
-                sl -= 1
-                h[sl] = 0
-                h[1] += 1
-                g -= sl - 1
-            depth -= 1
-    return None
+    return found
 
 
 def _brute_force_impl(d, bounds):
@@ -349,14 +287,15 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     tlist = sorted({int(g) for g in targets})
     if not tlist:
         return {}
-    wit = _search_fixed_both_impl(d, s, tlist, bound_table(d))
-    return {g: w for g, w in zip(tlist, wit) if w is not None}
+    found = _search_impl(d, s, tlist, bound_table(d))
+    return {g: found[g] for g in tlist if g in found}
 
 
 def search_multiplicity(d: int, target: int):
     """First witness of ``target`` among all multiplicity-d sequences, or None."""
     _check_degree(d)
-    return _search_multiplicity_impl(d, int(target), bound_table(d))
+    target = int(target)
+    return _search_impl(d, None, [target], bound_table(d)).get(target)
 
 
 def brute_force_attained(d: int) -> tuple[list[int], int]:

@@ -186,8 +186,7 @@ def _cmd_enumerate(args) -> int:
     else:
         family = TreeFamily.fixed_multiplicity(args.d)
     if args.export:
-        out = export_tree(family, args.export)
-        print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+        print(export_tree(family, args.export))
     else:
         for h in iter_family(family):
             print(format_oseq(h))

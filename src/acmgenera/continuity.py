@@ -39,12 +39,8 @@ class GenusSet:
         return value >= 0 and (self.bits >> value) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits, value = self.bits, 0
-        while bits:
-            if bits & 1:
-                yield value
-            bits >>= 1
-            value += 1
+        # one linear pass over the binary digits, lowest bit first
+        return (v for v, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1")
 
     def __len__(self) -> int:
         return self.bits.bit_count()

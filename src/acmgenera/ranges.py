@@ -208,7 +208,7 @@ class GapCertificate(NamedTuple):
 
 
 def certified_gaps(d: int) -> list[GapCertificate]:
-    """All gaps certified by closed formulas, deduplicated and sorted.
+    """All gaps certified by closed formulas, sorted by value.
 
     Combines the separated-range rule with the hole values that fall
     strictly below the next range's minimum.  The separated lengths form an
@@ -219,23 +219,23 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     """
     if d <= 2:
         return []
-    by_value: dict[int, GapCertificate] = {}
-
-    for s in sorted(separated_after(d)):
-        top = closed_max_genus(d, s)  # separated lengths satisfy s >= d//2 + 1
-        for value in range(top + 1, min_genus(s + 1)):
-            if value not in by_value:
-                by_value[value] = GapCertificate(value, "between-ranges", s)
-
-    if d // 2 + 1 >= 7:
-        for s in range(d // 2 + 1, d - 3):
-            top = closed_max_genus(d, s)
+    out: list[GapCertificate] = []
+    with_holes = d // 2 + 1 >= 7
+    # Both rules start at s = d//2 + 1 (below it (2d+1-2s)^2 >= 8d-15, so no
+    # s is separated), and length s certifies only values in [C(s-1,2),
+    # C(s,2)): holes inside its range below the top, between-range values
+    # above the top and below min_genus(s+1).  So one ascending pass over s,
+    # holes (i descending) first, emits each value once and in order.
+    for s in range(d // 2 + 1, d):
+        top = closed_max_genus(d, s)
+        if with_holes and s < d - 3:
             # hole i lies below the next range's minimum iff s - 1 - C(d-s,2) + i > 0
-            for i in range(max(1, binomial(d - s, 2) - s + 2), d - s - 2):
-                if top - i not in by_value:
-                    by_value[top - i] = GapCertificate(top - i, "hole-always-gap", s, i)
-
-    return [by_value[v] for v in sorted(by_value)]
+            for i in range(d - s - 3, max(1, binomial(d - s, 2) - s + 2) - 1, -1):
+                out.append(GapCertificate(top - i, "hole-always-gap", s, i))
+        if is_separated(d, s):
+            for value in range(top + 1, min_genus(s + 1)):
+                out.append(GapCertificate(value, "between-ranges", s))
+    return out
 
 
 def range_complement(d: int) -> list[int]:

@@ -113,15 +113,18 @@ class DegreeClassification:
         return {c.value: c.reason for c in self.gaps}
 
     def provenance_of(self, value: int) -> str:
-        """One of step1, step2, searched, post-loop (the last two are step 3)."""
+        """One of step1, step2, searched, post-loop (the last two are step 3).
+
+        Raises ValueError for a value outside [0, C(d-1,2)].
+        """
         if value in self.certain:
             return "step1"
         if value in self.witnesses:
             return "searched"
         reason = self._gap_reasons.get(value)
-        if reason is not None:
-            return "step2" if reason != "searched" else "post-loop"
-        return "searched"
+        if reason is None:
+            raise ValueError(f"value {value} outside [0, C({self.d}-1,2)]")
+        return "step2" if reason != "searched" else "post-loop"
 
 
 def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from acmgenera import GenusSet, binomial, certain_genera, continuity_prefix, m_sequence
@@ -21,6 +23,16 @@ def test_genus_set_basics():
     with pytest.raises(ValueError):
         s.add(16)  # outside [0, C(6,2)]
     assert s.copy() == s and s.copy() is not s
+
+
+def test_genus_set_iterates_its_members_in_order():
+    rng = random.Random(2014)
+    for d in (1, 2, 3, 7, 30, 120):
+        top = binomial(d - 1, 2)
+        for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+            bits = sum(1 << v for v in range(top + 1) if rng.random() < density)
+            s = GenusSet(d, bits | rng.getrandbits(8) << (top + 1))  # bits past the top are dropped
+            assert s.to_list() == [v for v in range(top + 1) if v in s], (d, density)
 
 
 def test_certain_genera_examples():

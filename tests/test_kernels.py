@@ -68,6 +68,33 @@ def test_fixed_both_children_sit_at_j_and_j_plus_one():
                     assert j in (jlast, jlast + 1), (d, s, h, c)
 
 
+def test_fixed_multiplicity_children_bump_the_last_entry_or_append():
+    # the same walk with 0 past the last entry: J is the last position, a
+    # child at J raises the last entry and one at J + 1 appends a 1
+    for d in range(2, 21):
+        family = TreeFamily.fixed_multiplicity(d)
+        for h in iter_family(family):
+            kids = children(h, family)
+            jlast = len(h) - 1
+            assert len(kids) <= 2, (d, h)
+            for c in kids:
+                assert c[:2] == (1, h[1] - 1), (d, h, c)
+                if len(c) == len(h):
+                    assert c[2:] == h[2:jlast] + (h[jlast] + 1,) and jlast >= 2, (d, h, c)
+                else:
+                    assert c[2:] == h[2:] + (1,), (d, h, c)
+
+
+def test_search_multiplicity_returns_first_preorder_witness_or_none():
+    # called directly, so a gap walks the tree instead of stopping at the profile
+    for d in range(1, 23):
+        first: dict[int, tuple[int, ...]] = {}
+        for h in iter_family(TreeFamily.fixed_multiplicity(d)):
+            first.setdefault(genus(h), h)
+        for g in range(comb(d - 1, 2) + 2):
+            assert _kernels.search_multiplicity(d, g) == first.get(g), (d, g)
+
+
 def test_search_fixed_both_returns_first_preorder_witness_of_every_genus():
     for d in range(3, 19):
         targets = range(comb(d - 1, 2) + 1)

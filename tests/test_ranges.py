@@ -195,6 +195,19 @@ def test_certified_gap_reasons_reconstruct():
                 assert cert.s - 1 - binomial(d - cert.s, 2) + cert.i > 0
 
 
+def test_certified_gaps_ascend_and_equal_the_two_rules():
+    for d in range(3, 301):
+        values = [c.value for c in certified_gaps(d)]
+        assert all(a < b for a, b in zip(values, values[1:])), d
+        expected = set()
+        for s in separated_after(d):
+            expected.update(range(max_genus(d, s) + 1, min_genus(s + 1)))
+        if d // 2 + 1 >= 7:
+            for s in range(d // 2 + 1, d - 3):
+                expected.update(v for v in holes(d, s) if v < min_genus(s + 1))
+        assert set(values) == expected, d
+
+
 def test_certified_gaps_sound():
     for d in range(3, 31):
         certified = {c.value for c in certified_gaps(d)}

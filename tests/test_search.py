@@ -140,6 +140,15 @@ def test_classification_d7():
     assert cls.provenance_of(8) == "step2"
 
 
+def test_provenance_of_refuses_values_outside_the_range():
+    cls = acm_genera(12)
+    top = comb(11, 2)
+    assert {cls.provenance_of(v) for v in range(top + 1)} <= {"step1", "step2", "searched", "post-loop"}
+    for value in (-1, top + 1, 10**6):
+        with pytest.raises(ValueError):
+            cls.provenance_of(value)
+
+
 def test_classification_small_degrees():
     for d in (1, 2):
         cls = acm_genera(d)
