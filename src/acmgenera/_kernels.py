@@ -282,10 +282,16 @@ def bound_table(d: int) -> list[list[int]]:
 
 
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
-    """Witnesses for each target genus attainable at multiplicity d, length s."""
+    """Witnesses for each target genus attainable at multiplicity d, length s.
+
+    No sequence of multiplicity d is longer than d, so s > d finds nothing;
+    a length below 1 raises ValueError.
+    """
     _check_degree(d)
+    if s < 1:
+        raise ValueError("length must be >= 1")
     tlist = sorted({int(g) for g in targets})
-    if not tlist:
+    if not tlist or s > d:
         return {}
     found = _search_impl(d, s, tlist, bound_table(d))
     return {g: found[g] for g in tlist if g in found}

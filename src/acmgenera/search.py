@@ -4,8 +4,10 @@ The single-genus search walks a spanning tree depth-first (LIFO), returns
 the first vertex with the requested genus, and prunes every subtree whose
 root already exceeds it; the genus never decreases along tree edges, so the
 pruning loses nothing.  The classification combines the certain genera from
-the degree recursion, the closed-form gap certificates, and batched searches
-for whatever remains undecided.
+the degree recursion, the closed-form gap certificates, and one rule for the
+values still pending, applied for s = 2 .. d in ascending order: a pending
+value below the least genus of length s is a gap, and the pending values in
+the (d, s)-range are searched for at length s.
 """
 from __future__ import annotations
 
@@ -55,21 +57,21 @@ def genus_search(g: int, family: TreeFamily):
     return None
 
 
-def brute_force_genera(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE) -> GenusSet:
+def brute_force_genera(d: int) -> GenusSet:
     """Genera of degree ``d`` by exhaustive generation (independent oracle)."""
-    masks, _ = _brute_force_guarded(d, limit)
+    masks, _ = _brute_force_guarded(d)
     bits = 0
     for m in masks:
         bits |= m
     return GenusSet(d, bits)
 
 
-def brute_force_length_profile(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE):
+def brute_force_length_profile(d: int):
     """Boolean matrix attained[genus, length] by exhaustive generation."""
     # imported here so that importing the package does not load numpy
     import numpy as np
 
-    masks, _ = _brute_force_guarded(d, limit)
+    masks, _ = _brute_force_guarded(d)
     attained = np.zeros((comb(d - 1, 2) + 1, d + 1), dtype=bool)
     for s, m in enumerate(masks):
         for g in GenusSet(d, m):
@@ -77,18 +79,17 @@ def brute_force_length_profile(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE):
     return attained
 
 
-def count_osequences(d: int, limit: int = BRUTE_FORCE_MAX_DEGREE) -> int:
+def count_osequences(d: int) -> int:
     """Number of O-sequences of multiplicity ``d`` (exhaustive count)."""
-    _, count = _brute_force_guarded(d, limit)
+    _, count = _brute_force_guarded(d)
     return int(count)
 
 
-def _brute_force_guarded(d: int, limit: int):
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if d > limit:
+def _brute_force_guarded(d: int):
+    if d > BRUTE_FORCE_MAX_DEGREE:
         raise BudgetError(
-            f"exhaustive generation for d={d} exceeds the budget (limit {limit}); "
+            f"exhaustive generation for d={d} exceeds the budget "
+            f"(limit {BRUTE_FORCE_MAX_DEGREE}); "
             "the sequence count grows too fast for a complete visit"
         )
     return _kernels.brute_force_attained(d)
@@ -127,84 +128,71 @@ class DegreeClassification:
         return "step2" if reason != "searched" else "post-loop"
 
 
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending, one step per set bit.
+
+    Step 3's masks are sparse, so this beats a pass over every binary digit.
+    """
+    values = []
+    while bits:
+        low = bits & -bits
+        values.append(low.bit_length() - 1)
+        bits ^= low
+    return values
+
+
 def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
 
-    Step 1 takes the certain genera from the degree recursion, step 2 the
-    closed-form gap certificates, and step 3 resolves the rest with one
-    multi-target search of the fixed-(d, s) tree per length, run in the
-    calling thread for s = 2 .. d-3 in order.  A value that drops
-    below the minimum of the current range without having been found is a
-    gap; so is anything left at the end, after checking it lies outside the
-    three remaining ranges (those are fully covered by step 1).
+    Step 1 takes the certain genera from the degree recursion and step 2 the
+    closed-form gap certificates.  Step 3 keeps the values neither settled
+    as a bitmask and applies one rule for s = 2 .. d in ascending order: a
+    pending value below ``min_genus(s)`` was attained at no shorter length
+    and no longer one can reach it, so it is a gap; the pending values in
+    ``[min_genus(s), max_genus(d, s)]`` go to one multi-target search of the
+    fixed-(d, s) tree, and its hits are genera.  The walk stops once nothing
+    is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
     """
     _kernels._check_degree(d)
-    if d <= 2:
-        genera = GenusSet.from_values(d, [0])
-        certain = GenusSet.from_values(d, [0])
-        stats = {"certain_genera": 1, "certain_gaps": 0, "searched": 0}
-        if timings is not None:
-            timings.update({"step1": 0.0, "step2": 0.0, "step3": 0.0})
-        return DegreeClassification(d, genera, [], {}, certain, stats)
-
     t0 = perf_counter()
     certain = certain_genera(d)
     t1 = perf_counter()
     certificates = certified_gaps(d)
     t2 = perf_counter()
-    rtop = comb(d - 1, 2)
 
-    certified_values = {c.value for c in certificates}
-    undecided = [
-        g for g in range(rtop + 1) if g not in certain and g not in certified_values
-    ]
+    certified_bits = 0
+    for c in certificates:
+        certified_bits |= 1 << c.value
+    undecided = GenusSet.universe_mask(d) & ~certain.bits & ~certified_bits
     stats = {
         "certain_genera": len(certain),
         "certain_gaps": len(certificates),
-        "searched": len(undecided),
+        "searched": undecided.bit_count(),
     }
 
-    genera = certain.copy()
     witnesses: dict[int, tuple[int, ...]] = {}
-    step3_gaps: list[GapCertificate] = []
-    pending = list(undecided)
-
-    for s in range(2, d - 2):
+    found_bits = 0
+    pending = undecided
+    for s in range(2, d + 1):
+        pending &= -1 << min_genus(s)
         if not pending:
             break
-        top = max_genus(d, s)
-        snapshot = [g for g in pending if g <= top]
-        if not snapshot:
-            continue
-        lo = min_genus(s)
-        below = [g for g in snapshot if g < lo]
-        targets = [g for g in snapshot if g >= lo]
-        for g in below:
-            step3_gaps.append(GapCertificate(g, "searched"))
-            pending.remove(g)
+        targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
         if targets:
-            hits = _kernels.search_fixed_both(d, s, targets)
-            for g in sorted(hits):
-                witnesses[g] = hits[g]
-                genera.add(g)
-                pending.remove(g)
+            hits = _kernels.search_fixed_both(d, s, _set_bits(targets))
+            witnesses.update(hits)
+            for g in hits:
+                found_bits |= 1 << g
+            pending &= ~found_bits
 
-    for g in pending:
-        for s in (d - 2, d - 1, d):
-            if min_genus(s) <= g <= max_genus(d, s):
-                raise RuntimeError(
-                    f"value {g} left undecided but inside the (d={d}, s={s}) range; "
-                    "refusing to classify it as a gap"
-                )
-        step3_gaps.append(GapCertificate(g, "searched"))
-
+    genera = GenusSet(d, certain.bits | found_bits)
+    searched_gaps = undecided & ~found_bits
+    step3_gaps = [GapCertificate(g, "searched") for g in _set_bits(searched_gaps)]
     gaps = sorted(certificates + step3_gaps, key=lambda c: c.value)
-    gap_bits = 0
-    for c in gaps:
-        gap_bits |= 1 << c.value
+    gap_bits = certified_bits | searched_gaps
     if genera.bits & gap_bits or genera.bits | gap_bits != GenusSet.universe_mask(d):
         raise RuntimeError(f"genera and gaps do not partition the range for d={d}")
     if timings is not None:

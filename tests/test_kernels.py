@@ -159,6 +159,12 @@ def test_short_lengths_build_only_a_prefix_of_the_profile():
 def test_search_fixed_both_at_length_one():
     assert search_fixed_both(1, 1, [0, 1]) == {0: (1,)}
     assert search_fixed_both(5, 1, [0, 3]) == {}
+    # no multiplicity-d sequence is longer than d
+    assert search_fixed_both(3, 5, [6, 7]) == {}
+    assert search_fixed_both(4, 6, range(20)) == {}
+    for s in (0, -2):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            search_fixed_both(5, s, [0])
 
 
 def test_degree_budget_refuses_every_entry_point_before_allocating():

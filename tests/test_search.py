@@ -2,9 +2,11 @@ from math import comb
 
 import pytest
 
+import acmgenera.search as search_module
 from acmgenera import (
     BudgetError,
     EmptyFamilyError,
+    GenusSet,
     TreeFamily,
     acm_genera,
     brute_force_genera,
@@ -119,7 +121,6 @@ def test_brute_force_budget():
         brute_force_genera(75)
     with pytest.raises(BudgetError):
         count_osequences(41)
-    assert len(brute_force_genera(45, limit=45)) > 0  # explicit override
 
 
 def test_length_profile():
@@ -151,9 +152,13 @@ def test_provenance_of_refuses_values_outside_the_range():
 
 def test_classification_small_degrees():
     for d in (1, 2):
-        cls = acm_genera(d)
+        timings = {}
+        cls = acm_genera(d, timings=timings)
         assert cls.genera.to_list() == [0]
         assert cls.gaps == []
+        assert cls.stats == {"certain_genera": 1, "certain_gaps": 0, "searched": 0}
+        assert cls.witnesses == {}
+        assert set(timings) == {"step1", "step2", "step3"}
 
 
 def test_classification_counts_d25_d50():
@@ -183,6 +188,18 @@ def test_classification_d12_unique_extra_gap():
 
 def test_oracle_equivalence():
     for d in range(1, 21):
+        assert acm_genera(d).genera == brute_force_genera(d), d
+
+
+@pytest.mark.parametrize(
+    "step, nothing",
+    [("certain_genera", lambda d: GenusSet(d)), ("certified_gaps", lambda d: [])],
+)
+def test_step3_classifies_what_steps_1_and_2_leave(monkeypatch, step, nothing):
+    # step 3 decides every value left to it by search, so the result must not
+    # depend on step 1 having covered the longest lengths
+    monkeypatch.setattr(search_module, step, nothing)
+    for d in range(2, 21):
         assert acm_genera(d).genera == brute_force_genera(d), d
 
 
