@@ -242,7 +242,7 @@ def _timed_run(d: int) -> dict:
 
 def _cmd_bench(args) -> int:
     acm_genera(args.d)  # warm-up, excluded from timing
-    results = [_timed_run(args.d)]
+    run = _timed_run(args.d)
 
     visit = None
     if args.d <= 40:
@@ -252,15 +252,14 @@ def _cmd_bench(args) -> int:
         visit = {"ms": (perf_counter() - t0) * 1e3, "sequences": n}
 
     if args.format == "json":
-        _emit_json({"d": args.d, "runs": results, "full_visit": visit})
+        _emit_json({"d": args.d, "runs": [run], "full_visit": visit})
         return EXIT_OK
-    for r in results:
-        share = 100.0 * r["step3_ms"] / r["total_ms"] if r["total_ms"] else 0.0
-        print(f"d={args.d} backend={r['backend']}")
-        print(f"  step1 certain genera  {r['step1_ms']:10.3f} ms")
-        print(f"  step2 certified gaps  {r['step2_ms']:10.3f} ms")
-        print(f"  step3 searches        {r['step3_ms']:10.3f} ms  ({share:.1f}% of total)")
-        print(f"  total                 {r['total_ms']:10.3f} ms")
+    share = 100.0 * run["step3_ms"] / run["total_ms"] if run["total_ms"] else 0.0
+    print(f"d={args.d} backend={run['backend']}")
+    print(f"  step1 certain genera  {run['step1_ms']:10.3f} ms")
+    print(f"  step2 certified gaps  {run['step2_ms']:10.3f} ms")
+    print(f"  step3 searches        {run['step3_ms']:10.3f} ms  ({share:.1f}% of total)")
+    print(f"  total                 {run['total_ms']:10.3f} ms")
     if visit is None:
         print("full visit: skipped (degree exceeds the exhaustive budget)")
     else:

@@ -65,21 +65,12 @@ class GenusSet:
 
 _mask_cache: list[int] = [0, 1]  # _mask_cache[m] = certain-genera bits for degree m
 _mask_lock = threading.Lock()
-_TRIANGLE = [k * (k - 1) // 2 for k in range(256)]
-
-
-def _triangle(k: int) -> int:
-    while k >= len(_TRIANGLE):
-        n = len(_TRIANGLE)
-        _TRIANGLE.append(n * (n - 1) // 2)
-    return _TRIANGLE[k]
 
 
 def _certain_masks(d: int) -> list[int]:
+    tri = [k * (k - 1) // 2 for k in range(d + 1)]  # tri[k] = C(k, 2)
     with _mask_lock:
         cache = _mask_cache
-        _triangle(d)
-        tri = _TRIANGLE
         for m in range(len(cache), d + 1):
             acc = 0
             for i in range(1, m):

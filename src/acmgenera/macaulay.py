@@ -88,9 +88,12 @@ def is_admissible(candidate) -> bool:
         h = tuple(candidate)
     except TypeError:
         return False
-    if not h or any(not isinstance(x, int) or isinstance(x, bool) for x in h):
+    if not h:
         return False
-    if h[0] != 1 or any(x < 1 for x in h):
+    # the type set is a fast path for plain ints; int subclasses other than bool still pass
+    if set(map(type, h)) != {int} and any(not isinstance(x, int) or isinstance(x, bool) for x in h):
+        return False
+    if h[0] != 1 or min(h) < 1:
         return False
     for t in range(1, len(h) - 1):
         if h[t + 1] > macaulay_bound(h[t], t):

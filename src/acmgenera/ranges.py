@@ -172,6 +172,7 @@ def genus_range(d: int, s: int) -> GenusRange:
 
 def range_table(d: int) -> list[GenusRange]:
     """The ranges for every length ``s = 2 .. d`` (plus ``s = 1`` when d = 1)."""
+    _check_degree(d)
     if d == 1:
         return [GenusRange(1, 1, 0, 0, (1,), (1,), False)]
     return [genus_range(d, s) for s in range(2, d + 1)]
@@ -217,6 +218,7 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     invariant tests recompute that complement from the exact range endpoints
     and check it stays inside this certificate set.
     """
+    _check_degree(d)
     if d <= 2:
         return []
     out: list[GapCertificate] = []

@@ -8,11 +8,18 @@ along every edge.  Four spanning-tree families are supported:
 * ``multiplicity`` -- the O-sequences of one fixed multiplicity,
 * ``both`` -- fixed multiplicity and fixed length.
 
-Each tree is defined by its parent map; ``children`` inverts that map and
-validates every candidate with :func:`~acmgenera.macaulay.is_admissible`,
-which keeps the edge rules honest in one place.  Children are ordered by the
-index of the incremented entry, so depth-first traversal order is
-deterministic.
+One step rule serves all four, read off two facts a family carries.  With
+the multiplicity fixed (``d`` set) a step moves one unit from position 1
+upward, so raises count from position 2; otherwise a step raises one entry
+from position 1 on.  With the length fixed (``s`` set) the entries past the
+last raised position are 1; otherwise they are 0 and raising the position
+just past the end appends a 1.  Let J be the highest raisable position whose
+entry exceeds that padding.  The parent lowers h_J (dropping a trailing 0,
+and giving the unit back to position 1 when the multiplicity is fixed).  The
+children raise J or J + 1 and keep what :func:`~acmgenera.macaulay.is_admissible`
+and the cap accept: every entry past J + 1 is the padding, and
+macaulay_bound(1, t) = 1, so no higher raise can pass.  Children are ordered
+by the raised position, so depth-first traversal order is deterministic.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from .ranges import min_oseq
 
 PRECEDES_MAX_MULTIPLICITY = 20
 DEFAULT_NODE_BUDGET = 10_000_000
+_FIELDS = {"full": ("cap",), "length": ("s", "cap"), "multiplicity": ("d",), "both": ("d", "s")}
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,13 @@ class TreeFamily:
     cap: Optional[int] = None
 
     def __post_init__(self):
+        # the step rule reads s, d and cap, so a field the kind does not take is refused
+        used = _FIELDS.get(self.kind)
+        if used is None:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        unused = [f for f in ("s", "d", "cap") if f not in used and getattr(self, f) is not None]
+        if unused:
+            raise ValueError(f"{self.kind} family takes no {' or '.join(unused)}")
         if self.kind in ("full", "length"):
             if self.cap is None or self.cap < 1:
                 raise ValueError(f"{self.kind} family is infinite and needs cap >= 1")
@@ -78,15 +93,12 @@ class TreeFamily:
 
     def contains(self, h) -> bool:
         ht = tuple(h)
-        if not is_admissible(ht):
-            return False
-        if self.kind == "full":
-            return multiplicity(ht) <= self.cap
-        if self.kind == "length":
-            return len(ht) == self.s and multiplicity(ht) <= self.cap
-        if self.kind == "multiplicity":
-            return multiplicity(ht) == self.d
-        return multiplicity(ht) == self.d and len(ht) == self.s
+        return (
+            is_admissible(ht)
+            and (self.s is None or len(ht) == self.s)
+            and (self.d is None or multiplicity(ht) == self.d)
+            and (self.cap is None or multiplicity(ht) <= self.cap)
+        )
 
 
 def _require_member(h, family: TreeFamily) -> tuple[int, ...]:
@@ -96,85 +108,59 @@ def _require_member(h, family: TreeFamily) -> tuple[int, ...]:
     return ht
 
 
+def _top(ht: tuple[int, ...], family: TreeFamily) -> tuple[int, int]:
+    """``(lo, J)``: the first raisable position and the last one above the padding.
+
+    The padding is 1 at fixed length and 0 otherwise.  J is below ``lo``
+    exactly at the root.
+    """
+    lo = 1 if family.d is None else 2
+    pad = 0 if family.s is None else 1
+    j = len(ht) - 1
+    while j >= lo and ht[j] <= pad:
+        j -= 1
+    return lo, j
+
+
 def root_of(family: TreeFamily) -> tuple[int, ...]:
     """The root vertex of the family's spanning tree."""
-    if family.kind == "full":
-        return (1,)
-    if family.kind == "length":
-        return (1,) * family.s
-    if family.kind == "multiplicity":
-        return (1,) if family.d == 1 else (1, family.d - 1)
-    return min_oseq(family.d, family.s)
+    if family.cap is not None:
+        return (1,) * (family.s or 1)
+    return min_oseq(family.d, family.s or min(family.d, 2))
 
 
 def children(h, family: TreeFamily) -> list[tuple[int, ...]]:
-    """Tree children of ``h``, ordered by the index of the incremented entry."""
+    """Tree children of ``h``: raise J or J + 1, ordered by the raised position."""
     ht = _require_member(h, family)
-    s = len(ht)
+    if family.cap is not None and multiplicity(ht) >= family.cap:
+        return []  # every raise in a capped family adds 1 to the multiplicity
+    lo, j = _top(ht, family)
+    end = len(ht) + (family.s is None)  # raising len(ht) appends a 1
     out: list[tuple[int, ...]] = []
-
-    if family.kind == "full":
-        if s >= 2:
-            bump_last = ht[:-1] + (ht[-1] + 1,)
-            if is_admissible(bump_last) and multiplicity(bump_last) <= family.cap:
-                out.append(bump_last)
-        appended = ht + (1,)
-        if multiplicity(appended) <= family.cap:
-            out.append(appended)
-        return out
-
-    if family.kind == "length":
-        jmin = max((i for i in range(1, s) if ht[i] > 1), default=1)
-        for j in range(jmin, s):
-            cand = ht[:j] + (ht[j] + 1,) + ht[j + 1:]
-            if is_admissible(cand) and multiplicity(cand) <= family.cap:
-                out.append(cand)
-        return out
-
-    if family.kind == "multiplicity":
-        if s >= 3 and ht[1] >= 2:
-            cand = (1, ht[1] - 1) + ht[2:-1] + (ht[-1] + 1,)
-            if is_admissible(cand):
-                out.append(cand)
-        if ht[1:2] and ht[1] >= 2:
-            cand = (1, ht[1] - 1) + ht[2:] + (1,)
-            if is_admissible(cand):
-                out.append(cand)
-        return out
-
-    # fixed multiplicity and length: move one unit from position 1 upward
-    if s < 3 or ht[1] < 2:
-        return out
-    jmin = max((i for i in range(2, s) if ht[i] > 1), default=2)
-    for j in range(jmin, s):
-        cand = (1, ht[1] - 1) + ht[2:j] + (ht[j] + 1,) + ht[j + 1:]
+    for k in range(max(j, lo), min(j + 2, end)):
+        cand = list(ht) if k < len(ht) else [*ht, 0]
+        cand[k] += 1
+        if family.d is not None:
+            cand[1] -= 1
+        cand = tuple(cand)
         if is_admissible(cand):
             out.append(cand)
     return out
 
 
 def parent(h, family: TreeFamily) -> Optional[tuple[int, ...]]:
-    """The unique tree parent of ``h``, or None at the root."""
+    """The unique tree parent of ``h``, or None at the root: lower h_J."""
     ht = _require_member(h, family)
-    if ht == root_of(family):
+    lo, j = _top(ht, family)
+    if j < lo:
         return None
-    s = len(ht)
-
-    if family.kind == "full":
-        return ht[:-1] if ht[-1] == 1 else ht[:-1] + (ht[-1] - 1,)
-
-    if family.kind == "length":
-        k = max(i for i in range(1, s) if ht[i] > 1)
-        return ht[:k] + (ht[k] - 1,) + ht[k + 1:]
-
-    if family.kind == "multiplicity":
-        # undo the last step: lower the final entry, raise position 1
-        if ht[-1] == 1:
-            return (1, ht[1] + 1) + ht[2:-1]
-        return (1, ht[1] + 1) + ht[2:-1] + (ht[-1] - 1,)
-
-    k = max(i for i in range(2, s) if ht[i] > 1)
-    return (1, ht[1] + 1) + ht[2:k] + (ht[k] - 1,) + ht[k + 1:]
+    p = list(ht)
+    p[j] -= 1
+    if p[-1] == 0:
+        p.pop()
+    if family.d is not None:
+        p[1] += 1
+    return tuple(p)
 
 
 def iter_family(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[int, ...]]:

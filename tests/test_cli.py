@@ -93,6 +93,9 @@ def test_ranges(capsys):
     code, out, _ = run_cli(["ranges", "10", "--format", "json"], capsys)
     rows = json.loads(out)
     assert {"s": 4, "min": 3, "max": 11, "minWitness": "1,7,1,1", "maxWitness": "1,2,3,4", "separated": False} in rows
+    for bad in ("0", "-2"):  # refused like every other degree command, not an empty table
+        code, out, err = run_cli(["ranges", bad], capsys)
+        assert code == 2 and out == "" and "degree must be >= 1" in err
 
 
 def test_mseq(capsys):

@@ -8,6 +8,7 @@ from acmgenera import (
     TreeFamily,
     acm_genera,
     certain_genera,
+    certified_gaps,
     children,
     genus,
     genus_search,
@@ -16,6 +17,7 @@ from acmgenera import (
     macaulay_bound,
     max_genus,
     min_acm_regularity,
+    range_table,
 )
 from acmgenera import _kernels
 from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
@@ -182,11 +184,19 @@ def test_degree_budget_refuses_every_entry_point_before_allocating():
         lambda: _kernels.search_multiplicity(over, 1),
         lambda: genus_search(0, TreeFamily.fixed_multiplicity(over)),
         lambda: min_acm_regularity(over, 0),
+        lambda: range_table(over),
+        lambda: certified_gaps(over),
     ]
     for call in calls:
         with pytest.raises(BudgetError):
             call()
     assert max_genus(limit, limit) == comb(limit - 1, 2)  # the limit itself is allowed
-    for call in (lambda: acm_genera(0), lambda: certain_genera(0), lambda: bound_table(0)):
+    for call in (
+        lambda: acm_genera(0),
+        lambda: certain_genera(0),
+        lambda: bound_table(0),
+        lambda: range_table(0),
+        lambda: certified_gaps(-2),
+    ):
         with pytest.raises(ValueError):
             call()

@@ -35,12 +35,17 @@ def admissible_oseqs(draw):
 
 @st.composite
 def tree_vertices(draw):
-    """(family, vertex): a random walk down fixed_both(d, s) or fixed_multiplicity(d), d <= 30."""
-    d = draw(st.integers(1, 30))
-    if draw(st.booleans()):
-        family = TreeFamily.fixed_multiplicity(d)
+    """(family, vertex): a random walk down one of the four trees, d or cap <= 30."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["full", "length", "multiplicity", "both"]))
+    if kind == "full":
+        family = TreeFamily.full(cap=n)
+    elif kind == "length":
+        family = TreeFamily.fixed_length(draw(st.integers(1, n)), cap=n)
+    elif kind == "multiplicity":
+        family = TreeFamily.fixed_multiplicity(n)
     else:
-        family = TreeFamily.fixed_both(d, draw(st.integers(min(2, d), d)))
+        family = TreeFamily.fixed_both(n, draw(st.integers(min(2, n), n)))
     h = root_of(family)
     for _ in range(draw(st.integers(0, 60))):
         kids = children(h, family)
@@ -78,7 +83,12 @@ def test_parent_inverts_children(vertex):
     family, h = vertex
     for c in children(h, family):
         assert parent(c, family) == h
-        assert genus(c) > genus(h)
+        # moving a unit up from position 1 raises the genus; a capped tree's
+        # raise at position 1 leaves it flat
+        if family.d is not None:
+            assert genus(c) > genus(h)
+        else:
+            assert genus(c) >= genus(h)
     p = parent(h, family)
     if p is None:
         assert h == root_of(family)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,16 @@ def test_uncapped_infinite_families_refused():
         TreeFamily("length", s=4)
     with pytest.raises(ValueError):
         TreeFamily.full(cap=0)
+
+
+def test_fields_a_kind_does_not_take_refused():
+    # the step rule reads s, d and cap directly, so a stray field would change the tree
+    with pytest.raises(ValueError, match="full family takes no s"):
+        TreeFamily("full", s=3, cap=5)
+    with pytest.raises(ValueError, match="both family takes no cap"):
+        TreeFamily("both", d=7, s=4, cap=5)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        TreeFamily("fixed", d=5)
 
 
 def test_children_examples():
@@ -222,6 +233,25 @@ def test_subtree_partition_is_schedule_independent():
             total += len(part)
         assert union == set(iter_family(family))
         assert total == len(union)  # disjoint subtrees, no double visits
+
+
+def _pinned_families():
+    for n in range(1, 11):
+        yield TreeFamily.full(cap=n)
+        yield TreeFamily.fixed_multiplicity(n)
+        yield from (TreeFamily.fixed_length(s, cap=n) for s in range(1, n + 1))
+        yield from (TreeFamily.fixed_both(n, s) for s in ([1] if n == 1 else range(2, n + 1)))
+
+
+def test_preorder_pinned():
+    # the other enumeration tests compare sets; this pins the visiting order and
+    # the exported edge order of all 121 families with d or cap <= 10
+    digest = hashlib.sha256()
+    for family in _pinned_families():
+        digest.update(repr(family).encode())
+        digest.update(repr(list(iter_family(family))).encode())
+        digest.update(json.dumps(export_json(family)).encode())
+    assert digest.hexdigest() == "98eb35f653980eef45a3e3c369c0804d8716802f71eb05e27afa83cc276b1245"
 
 
 def test_exports():
