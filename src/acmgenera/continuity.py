@@ -9,6 +9,7 @@ covered by that recursion.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -72,10 +73,23 @@ def _certain_masks(d: int) -> list[int]:
     with _mask_lock:
         cache = _mask_cache
         for m in range(len(cache), d + 1):
-            acc = 0
-            for i in range(1, m):
-                acc |= cache[i] << tri[m - i]
-            cache.append(acc & ((1 << (tri[m - 1] + 1)) - 1))
+            # mask[m] is the union of mask[i] << C(m-i, 2) for 1 <= i < m, so it
+            # holds mask[m-1] (i = m-1, C(1,2) = 0) and with it that mask's
+            # all-ones prefix 0..p-1.  Only the bits from p up are built, and a
+            # term whose top bit C(i-1,2) + C(m-i,2) lies below p adds nothing;
+            # that top is convex in i, so the skipped terms are one middle band.
+            prev = cache[m - 1]
+            p = (prev ^ (prev + 1)).bit_length() - 1
+            high = prev >> p
+            lo, hi = 1, m - 2
+            while lo <= hi and tri[lo - 1] + tri[m - lo] >= p:
+                lo += 1
+            while hi >= lo and tri[hi - 1] + tri[m - hi] >= p:
+                hi -= 1
+            for i in chain(range(1, lo), range(hi + 1, m - 1)):
+                t = tri[m - i]
+                high |= cache[i] << (t - p) if t >= p else cache[i] >> (p - t)
+            cache.append(high << p | ((1 << p) - 1))
         return cache[: d + 1]
 
 

@@ -12,12 +12,17 @@ the smaller ones and ``max_genus`` is a lookup.
 Two closed-form rules certify gaps without any search: the integers strictly
 between a range and the next one when those are separated, and the top few
 values of a range ("holes") when they fall below the next range's minimum.
+The holes of a length that a longer length may still reach are not gaps,
+but no sequence of that length attains them, so the classification's
+search at that length leaves them out (:func:`hole_window`).
 """
 from __future__ import annotations
 
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from ._kernels import _check_degree
@@ -178,20 +183,36 @@ def range_table(d: int) -> list[GenusRange]:
     return [genus_range(d, s) for s in range(2, d + 1)]
 
 
-def holes(d: int, s: int) -> list[int]:
-    """The guaranteed unattained values just below the top of the (d, s)-range.
+def hole_window(d: int, s: int) -> range:
+    """The hole values of the (d, s)-range, ascending: its top d - s - 3 values below the maximum.
 
-    Valid for ``7 <= d//2 + 1 <= s <= d - 4``; outside that window the
-    statement is silent, so an empty list is returned with a warning.
+    No O-sequence of multiplicity ``d`` and length ``s`` has a genus in
+    ``range(top - (d - s - 3), top)``, ``top = max_genus(d, s)``.  The rule
+    holds for ``7 <= d//2 + 1 <= s <= d - 4``; elsewhere the window is empty.
     """
-    if not (7 <= d // 2 + 1 <= s <= d - 4):
+    if not 7 <= d // 2 + 1 <= s <= d - 4:
+        return range(0)
+    top = (s - 1) * (s - 2) // 2 + (d - s) * (d - s - 1) // 2  # closed_max_genus(d, s)
+    return range(top - (d - s - 3), top)
+
+
+def holes(d: int, s: int) -> list[int]:
+    """The values just below the top of the (d, s)-range that length ``s`` never attains.
+
+    They are unattained *at length s* only: a longer or shorter length may
+    still reach them.  Step 3 of the classification relies on it and leaves
+    them out of the length-s search.  Valid for ``7 <= d//2 + 1 <= s <= d - 4``;
+    outside that window the statement is silent, so an empty list is
+    returned with a warning.
+    """
+    window = hole_window(d, s)
+    if not window:
         warnings.warn(
             f"hole rule does not apply for (d={d}, s={s}); returning no holes",
             stacklevel=2,
         )
         return []
-    top = closed_max_genus(d, s)
-    return [top - i for i in range(d - s - 3, 0, -1)]
+    return list(window)
 
 
 class GapCertificate(NamedTuple):
@@ -208,6 +229,10 @@ class GapCertificate(NamedTuple):
     i: Optional[int] = None
 
 
+# builds a GapCertificate from one 4-tuple without the NamedTuple's per-call __new__
+_certificate = partial(tuple.__new__, GapCertificate)
+
+
 def certified_gaps(d: int) -> list[GapCertificate]:
     """All gaps certified by closed formulas, sorted by value.
 
@@ -222,21 +247,21 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     if d <= 2:
         return []
     out: list[GapCertificate] = []
-    with_holes = d // 2 + 1 >= 7
     # Both rules start at s = d//2 + 1 (below it (2d+1-2s)^2 >= 8d-15, so no
     # s is separated), and length s certifies only values in [C(s-1,2),
     # C(s,2)): holes inside its range below the top, between-range values
     # above the top and below min_genus(s+1).  So one ascending pass over s,
-    # holes (i descending) first, emits each value once and in order.
+    # holes first, emits each value once and in order.
     for s in range(d // 2 + 1, d):
         top = closed_max_genus(d, s)
-        if with_holes and s < d - 3:
-            # hole i lies below the next range's minimum iff s - 1 - C(d-s,2) + i > 0
-            for i in range(d - s - 3, max(1, binomial(d - s, 2) - s + 2) - 1, -1):
-                out.append(GapCertificate(top - i, "hole-always-gap", s, i))
+        nxt = min_genus(s + 1)
+        window = hole_window(d, s)
+        below = range(window.start, min(window.stop, nxt))  # hole i = top - value
+        out.extend(map(_certificate, zip(below, repeat("hole-always-gap"), repeat(s),
+                                         range(top - below.start, top - below.stop, -1))))
         if is_separated(d, s):
-            for value in range(top + 1, min_genus(s + 1)):
-                out.append(GapCertificate(value, "between-ranges", s))
+            out.extend(map(_certificate, zip(range(top + 1, nxt), repeat("between-ranges"),
+                                             repeat(s), repeat(None))))
     return out
 
 

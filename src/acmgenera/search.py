@@ -7,7 +7,9 @@ pruning loses nothing.  The classification combines the certain genera from
 the degree recursion, the closed-form gap certificates, and one rule for the
 values still pending, applied for s = 2 .. d in ascending order: a pending
 value below the least genus of length s is a gap, and the pending values in
-the (d, s)-range are searched for at length s.
+the (d, s)-range are searched for at length s, except that length's hole
+values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
+attains and which stay pending for the longer lengths.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from . import _kernels
 from .continuity import GenusSet, certain_genera
 from .errors import BudgetError
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, max_genus, min_genus
-from .trees import TreeFamily, children, root_of
+from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, min_genus
+from .trees import TreeFamily, _children, root_of
 
 BRUTE_FORCE_MAX_DEGREE = 40
 
@@ -53,7 +55,7 @@ def genus_search(g: int, family: TreeFamily):
         if gh == g:
             return h
         if gh < g:
-            stack.extend(reversed(children(h, family)))
+            stack.extend(reversed(_children(h, family)))
     return None
 
 
@@ -150,8 +152,10 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     pending value below ``min_genus(s)`` was attained at no shorter length
     and no longer one can reach it, so it is a gap; the pending values in
     ``[min_genus(s), max_genus(d, s)]`` go to one multi-target search of the
-    fixed-(d, s) tree, and its hits are genera.  The walk stops once nothing
-    is pending.
+    fixed-(d, s) tree, and its hits are genera.  The search skips the hole
+    values of length s (:func:`~acmgenera.ranges.hole_window`): no length-s
+    sequence has them, so they stay pending for the longer lengths, and no
+    result changes.  The walk stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -181,6 +185,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
         if not pending:
             break
         targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
+        holes = hole_window(d, s)  # never attained at length s; they stay pending
+        targets &= ~(((1 << len(holes)) - 1) << holes.start)
         if targets:
             hits = _kernels.search_fixed_both(d, s, _set_bits(targets))
             witnesses.update(hits)

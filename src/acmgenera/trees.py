@@ -131,7 +131,11 @@ def root_of(family: TreeFamily) -> tuple[int, ...]:
 
 def children(h, family: TreeFamily) -> list[tuple[int, ...]]:
     """Tree children of ``h``: raise J or J + 1, ordered by the raised position."""
-    ht = _require_member(h, family)
+    return _children(_require_member(h, family), family)
+
+
+def _children(ht: tuple[int, ...], family: TreeFamily) -> list[tuple[int, ...]]:
+    """:func:`children` of a vertex known to be in the family, with no membership check."""
     if family.cap is not None and multiplicity(ht) >= family.cap:
         return []  # every raise in a capped family adds 1 to the multiplicity
     lo, j = _top(ht, family)
@@ -163,8 +167,8 @@ def parent(h, family: TreeFamily) -> Optional[tuple[int, ...]]:
     return tuple(p)
 
 
-def iter_family(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[int, ...]]:
-    """Depth-first preorder over every vertex of the family, each exactly once."""
+def _walk(family: TreeFamily, max_nodes: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """``(vertex, children)`` in depth-first preorder; every vertex is generated, so none is re-checked."""
     seen = 0
     stack = [root_of(family)]
     while stack:
@@ -172,14 +176,21 @@ def iter_family(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Ite
         seen += 1
         if seen > max_nodes:
             raise BudgetError(f"family visit exceeded the {max_nodes}-node budget")
+        kids = _children(h, family)
+        yield h, kids
+        stack.extend(reversed(kids))
+
+
+def iter_family(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Depth-first preorder over every vertex of the family, each exactly once."""
+    for h, _ in _walk(family, max_nodes):
         yield h
-        stack.extend(reversed(children(h, family)))
 
 
 def tree_edges(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[tuple, tuple]]:
     """All (parent, child) tree edges, in preorder of the parent."""
-    for h in iter_family(family, max_nodes=max_nodes):
-        for c in children(h, family):
+    for h, kids in _walk(family, max_nodes):
+        for c in kids:
             yield h, c
 
 

@@ -78,3 +78,38 @@ def pascal_admissible(seq) -> bool:
     if not h or h[0] != 1 or any(not isinstance(x, int) or x < 1 for x in h):
         return False
     return all(h[t + 1] <= pascal_bound(h[t], t) for t in range(1, len(h) - 1))
+
+
+# the step-1 and step-2 loops as first written, kept as oracles for the faster forms
+
+
+def reference_certain_masks(d: int) -> list[int]:
+    """Step-1 bitmasks by the plain shifted-union recursion, degrees 0..d."""
+    tri = [k * (k - 1) // 2 for k in range(d + 1)]
+    masks = [0, 1]
+    for m in range(2, d + 1):
+        acc = 0
+        for i in range(1, m):
+            acc |= masks[i] << tri[m - i]
+        masks.append(acc & ((1 << (tri[m - 1] + 1)) - 1))
+    return masks[: d + 1]
+
+
+def reference_certified_gaps(d: int) -> list:
+    """Step-2 certificates, one NamedTuple call per value, holes tested per index."""
+    from acmgenera.ranges import GapCertificate, closed_max_genus, is_separated
+
+    if d <= 2:
+        return []
+    out = []
+    with_holes = d // 2 + 1 >= 7
+    for s in range(d // 2 + 1, d):
+        top = closed_max_genus(d, s)
+        if with_holes and s < d - 3:
+            # hole i lies below the next range's minimum iff s - 1 - C(d-s,2) + i > 0
+            for i in range(d - s - 3, max(1, ag.binomial(d - s, 2) - s + 2) - 1, -1):
+                out.append(GapCertificate(top - i, "hole-always-gap", s, i))
+        if is_separated(d, s):
+            for value in range(top + 1, ag.min_genus(s + 1)):
+                out.append(GapCertificate(value, "between-ranges", s))
+    return out

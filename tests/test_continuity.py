@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from acmgenera import GenusSet, binomial, certain_genera, continuity_prefix, m_sequence
+from acmgenera import GenusSet, binomial, certain_genera, clear_caches, continuity_prefix, m_sequence
+from acmgenera.continuity import _certain_masks
 from acmgenera.search import brute_force_genera
+from conftest import reference_certain_masks
 
 # the published thresholds for degrees 1..45
 M_TABLE = [
@@ -91,3 +93,13 @@ def test_prefix_inside_certain_genera():
     for d in range(1, 101):
         certain = certain_genera(d)
         assert all(g in certain for g in continuity_prefix(d)), d
+
+
+def test_certain_masks_equal_the_plain_recursion():
+    expected = reference_certain_masks(200)
+    clear_caches()
+    assert _certain_masks(200) == expected
+    # built in several steps, each resuming where the cache stopped
+    clear_caches()
+    for d in (3, 17, 60, 61, 200):
+        assert _certain_masks(d) == expected[: d + 1], d

@@ -18,10 +18,16 @@ from acmgenera import (
     separated_after,
     total_compare,
 )
-from acmgenera import ranges
-from acmgenera.ranges import closed_max_genus, closed_max_oseq, range_complement
+from acmgenera import _kernels, ranges
+from acmgenera.ranges import (
+    GapCertificate,
+    closed_max_genus,
+    closed_max_oseq,
+    hole_window,
+    range_complement,
+)
 from acmgenera.search import brute_force_genera, brute_force_length_profile
-from conftest import reference_genera_by_length, reference_sequences
+from conftest import reference_certified_gaps, reference_genera_by_length, reference_sequences
 
 
 def test_min_genus():
@@ -156,6 +162,29 @@ def test_holes_are_unattained():
             assert not (set(hs) & attained), (d, s)
 
 
+def _assert_hole_windows_unattained(d):
+    profile = _kernels.length_profile(d)
+    for s in range(2, d + 1):
+        window = hole_window(d, s)
+        assert (not window) == (not 7 <= d // 2 + 1 <= s <= d - 4), (d, s)
+        if window:
+            assert window.stop == max_genus(d, s) and len(window) == d - s - 3, (d, s)
+            assert profile[s] >> window.start & ((1 << len(window)) - 1) == 0, (d, s)
+
+
+def test_hole_windows_unattained_past_brute_force():
+    # the per-length profile reaches where the exhaustive oracle cannot
+    for d in range(31, 122, 10):
+        _assert_hole_windows_unattained(d)
+
+
+@pytest.mark.slow
+def test_hole_windows_unattained_audit():
+    for d in range(1, 181):
+        _assert_hole_windows_unattained(d)
+        _kernels.clear_kernel_caches()  # one degree's profile at a time
+
+
 def test_no_holes_at_top_lengths():
     for d in range(5, 31):
         profile = brute_force_length_profile(d)
@@ -206,6 +235,13 @@ def test_certified_gaps_ascend_and_equal_the_two_rules():
             for s in range(d // 2 + 1, d - 3):
                 expected.update(v for v in holes(d, s) if v < min_genus(s + 1))
         assert set(values) == expected, d
+
+
+def test_certified_gaps_equal_the_reference_loop():
+    for d in range(1, 300):
+        got = certified_gaps(d)
+        assert got == reference_certified_gaps(d), d
+        assert all(type(c) is GapCertificate for c in got), d
 
 
 def test_certified_gaps_sound():

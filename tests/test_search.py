@@ -19,7 +19,8 @@ from acmgenera import (
     multiplicity,
 )
 from acmgenera._kernels import search_fixed_both
-from acmgenera.ranges import max_genus, min_genus
+from acmgenera import _kernels
+from acmgenera.ranges import hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
 from conftest import reference_genera, reference_genera_by_length, reference_sequences
 
@@ -201,6 +202,25 @@ def test_step3_classifies_what_steps_1_and_2_leave(monkeypatch, step, nothing):
     monkeypatch.setattr(search_module, step, nothing)
     for d in range(2, 21):
         assert acm_genera(d).genera == brute_force_genera(d), d
+
+
+def test_step3_sends_no_hole_value_to_its_length(monkeypatch):
+    sent = []
+    real = _kernels.search_fixed_both
+
+    def recording(d, s, targets):
+        sent.append((d, s, list(targets)))
+        return real(d, s, targets)
+
+    monkeypatch.setattr(_kernels, "search_fixed_both", recording)
+    for d in (14, 30, 57, 100):
+        clear_caches()
+        acm_genera(d)
+    assert sent
+    assert all(not set(hole_window(d, s)) & set(ts) for d, s, ts in sent)
+    # a hole value that is a genus is found at a longer length
+    assert any(set(hole_window(d, s)) & set(acm_genera(d).witnesses) for d in (57, 100)
+               for s in range(2, d + 1))
 
 
 def test_stats_partition_range():

@@ -235,8 +235,8 @@ def test_subtree_partition_is_schedule_independent():
         assert total == len(union)  # disjoint subtrees, no double visits
 
 
-def _pinned_families():
-    for n in range(1, 11):
+def _pinned_families(top=10):
+    for n in range(1, top + 1):
         yield TreeFamily.full(cap=n)
         yield TreeFamily.fixed_multiplicity(n)
         yield from (TreeFamily.fixed_length(s, cap=n) for s in range(1, n + 1))
@@ -252,6 +252,22 @@ def test_preorder_pinned():
         digest.update(repr(list(iter_family(family))).encode())
         digest.update(json.dumps(export_json(family)).encode())
     assert digest.hexdigest() == "98eb35f653980eef45a3e3c369c0804d8716802f71eb05e27afa83cc276b1245"
+
+
+def test_tree_relations_pinned():
+    # the walks step through children without re-checking membership; the
+    # public children and parent still check it, and all four agree with
+    # what they gave when every step re-checked, for the 169 families with
+    # d or cap <= 12
+    digest = hashlib.sha256()
+    for family in _pinned_families(12):
+        order = list(iter_family(family))
+        digest.update(repr(family).encode())
+        digest.update(repr(order).encode())
+        digest.update(repr([children(h, family) for h in order]).encode())
+        digest.update(repr([parent(h, family) for h in order]).encode())
+        digest.update(json.dumps(export_json(family)).encode())
+    assert digest.hexdigest() == "f340d9770d214724fd9db3c9d0519b34e9819f1ad0f714aa777c10041101435d"
 
 
 def test_exports():
