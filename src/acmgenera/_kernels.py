@@ -21,6 +21,9 @@ from .errors import BudgetError
 # largest, peaks at 274 MB resident in 22 s (149 MB at d = 800), and
 # acm_genera at 100 MB in 124 s.
 MAX_DEGREE = 1000
+# The exhaustive enumeration visits every sequence, and their number grows
+# too fast for a complete visit past this degree.
+MAX_EXHAUSTIVE_DEGREE = 40
 
 
 def _check_degree(d: int):
@@ -305,8 +308,12 @@ def search_multiplicity(d: int, target: int):
 
 
 def brute_force_attained(d: int) -> tuple[list[int], int]:
-    """(per-length genus bitmasks, sequence count) by exhaustive generation."""
+    """(per-length genus bitmasks, sequence count) by exhaustive generation, d <= MAX_EXHAUSTIVE_DEGREE."""
     _check_degree(d)
+    if d > MAX_EXHAUSTIVE_DEGREE:
+        raise BudgetError(
+            f"exhaustive generation for d={d} exceeds the budget (limit {MAX_EXHAUSTIVE_DEGREE})"
+        )
     return _brute_force_impl(d, bound_table(d))
 
 

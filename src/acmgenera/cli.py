@@ -16,9 +16,10 @@ from math import comb
 from time import perf_counter
 
 from . import clear_caches
+from ._kernels import MAX_EXHAUSTIVE_DEGREE
 from .continuity import m_sequence
 from .errors import BudgetError, EmptyFamilyError, MembershipError, UnattainableGenusError
-from .macaulay import format_oseq, hilbert_data, is_admissible, parse_oseq
+from .macaulay import MAX_TMAX, format_oseq, hilbert_data, is_admissible, parse_oseq
 from .ranges import certified_gaps, range_table
 from .regularity import min_acm_regularity
 from .search import acm_genera, brute_force_genera, count_osequences, genus_search
@@ -245,7 +246,7 @@ def _cmd_bench(args) -> int:
     run = _timed_run(args.d)
 
     visit = None
-    if args.d <= 40:
+    if args.d <= MAX_EXHAUSTIVE_DEGREE:
         clear_caches()
         t0 = perf_counter()
         n = count_osequences(args.d)
@@ -312,7 +313,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hilbert", help="Hilbert function data of one h-vector")
     p.add_argument("h_vector")
-    p.add_argument("--tmax", type=int, default=None, metavar="T")
+    tmax_help = f"tabulate through T (default: the length; at most {MAX_TMAX})"
+    p.add_argument("--tmax", type=int, default=None, metavar="T", help=tmax_help)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=_cmd_hilbert)
 

@@ -13,16 +13,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._kernels import MAX_DEGREE
+from .errors import BudgetError
 
-def binomial(n: int, m: int) -> int:
-    """Binomial coefficient with the conventions C(n,m)=0 for n<m, C(n,0)=1."""
-    if n < 0 or m < 0:
-        raise ValueError(f"binomial arguments must be non-negative, got ({n}, {m})")
-    if m == 0:
-        return 1
-    if n < m:
-        return 0
-    return math.comb(n, m)
+# hilbert_data tabulates at most this many values past t = 0
+MAX_TMAX = MAX_DEGREE**2
+
+
+# C(n, m), with C(n, m) = 0 for n < m and C(n, 0) = 1; a negative argument raises ValueError
+binomial = math.comb
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,12 @@ class HilbertData:
 
 
 def hilbert_data(h, tmax: int) -> HilbertData:
-    """Tabulate the zero-dimensional and curve Hilbert functions up to ``tmax``."""
+    """Tabulate the zero-dimensional and curve Hilbert functions up to ``tmax``.
+
+    Raises :class:`BudgetError` for a ``tmax`` above ``MAX_TMAX``.
+    """
+    if tmax > MAX_TMAX:
+        raise BudgetError(f"tmax {tmax} exceeds the tabulation budget (limit {MAX_TMAX})")
     ht = check_oseq(h)
     if tmax < 0:
         raise ValueError("tmax must be non-negative")
@@ -161,9 +165,11 @@ def format_oseq(h) -> str:
 def parse_oseq(text: str) -> tuple[int, ...]:
     """Parse the canonical comma form; exponent shorthand ``2^3`` is accepted.
 
-    Only parses the shape; admissibility is not checked here.
+    Only parses the shape; admissibility is not checked here.  More than
+    ``MAX_DEGREE`` entries, which no sequence within the degree budget has,
+    raise :class:`BudgetError` before the shorthand is expanded.
     """
-    entries: list[int] = []
+    runs: list[tuple[int, int]] = []
     for tok in text.strip().split(","):
         tok = tok.strip()
         if not tok:
@@ -175,7 +181,8 @@ def parse_oseq(text: str) -> tuple[int, ...]:
                 raise ValueError(f"exponent must be positive in {tok!r}")
         else:
             value, count = int(tok), 1
-        entries.extend([value] * count)
-    if not entries:
-        raise ValueError("empty O-sequence")
-    return tuple(entries)
+        runs.append((value, count))
+    total = sum(count for _, count in runs)
+    if total > MAX_DEGREE:
+        raise BudgetError(f"{total} entries exceed the degree budget (limit {MAX_DEGREE})")
+    return tuple(value for value, count in runs for _ in range(count))

@@ -18,14 +18,12 @@ from functools import cached_property
 from math import comb
 from time import perf_counter
 
-from . import _kernels
+from . import _kernels, trees
 from .continuity import GenusSet, certain_genera
 from .errors import BudgetError
 from .macaulay import genus
 from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, min_genus
 from .trees import TreeFamily, _children, root_of
-
-BRUTE_FORCE_MAX_DEGREE = 40
 
 
 def genus_search(g: int, family: TreeFamily):
@@ -35,7 +33,9 @@ def genus_search(g: int, family: TreeFamily):
     lowest incremented index is explored first, which fixes the witness.
     On the fixed-multiplicity family, a genus absent from the degree's
     per-length genus profile (:func:`~acmgenera._kernels.shortest_length`)
-    returns None without a walk.
+    returns None without a walk.  On the capped families the walk raises
+    :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET`` vertices, as a
+    family visit does; the budget is read at call time.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -48,9 +48,14 @@ def genus_search(g: int, family: TreeFamily):
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
     # position-1 edges, so only strictly larger genera are pruned
+    budget = trees.DEFAULT_NODE_BUDGET
+    seen = 0
     stack = [root_of(family)]
     while stack:
         h = stack.pop()
+        seen += 1
+        if seen > budget:
+            raise BudgetError(f"family visit exceeded the {budget}-node budget")
         gh = genus(h)
         if gh == g:
             return h
@@ -61,20 +66,21 @@ def genus_search(g: int, family: TreeFamily):
 
 def brute_force_genera(d: int) -> GenusSet:
     """Genera of degree ``d`` by exhaustive generation (independent oracle)."""
-    masks, _ = _brute_force_guarded(d)
+    masks, _ = _kernels.brute_force_attained(d)
     bits = 0
     for m in masks:
         bits |= m
     return GenusSet(d, bits)
 
 
-def brute_force_length_profile(d: int):
-    """Boolean matrix attained[genus, length] by exhaustive generation."""
-    # imported here so that importing the package does not load numpy
-    import numpy as np
+def brute_force_length_profile(d: int) -> memoryview:
+    """attained[genus, length] by exhaustive generation.
 
-    masks, _ = _brute_force_guarded(d)
-    attained = np.zeros((comb(d - 1, 2) + 1, d + 1), dtype=bool)
+    A 2-D memoryview of bools with shape (C(d-1,2) + 1, d + 1).
+    """
+    masks, _ = _kernels.brute_force_attained(d)
+    rows, cols = comb(d - 1, 2) + 1, d + 1
+    attained = memoryview(bytearray(rows * cols)).cast("?", (rows, cols))
     for s, m in enumerate(masks):
         for g in GenusSet(d, m):
             attained[g, s] = True
@@ -83,18 +89,7 @@ def brute_force_length_profile(d: int):
 
 def count_osequences(d: int) -> int:
     """Number of O-sequences of multiplicity ``d`` (exhaustive count)."""
-    _, count = _brute_force_guarded(d)
-    return int(count)
-
-
-def _brute_force_guarded(d: int):
-    if d > BRUTE_FORCE_MAX_DEGREE:
-        raise BudgetError(
-            f"exhaustive generation for d={d} exceeds the budget "
-            f"(limit {BRUTE_FORCE_MAX_DEGREE}); "
-            "the sequence count grows too fast for a complete visit"
-        )
-    return _kernels.brute_force_attained(d)
+    return _kernels.brute_force_attained(d)[1]
 
 
 @dataclass

@@ -187,7 +187,14 @@ def test_entry_point_subprocess():
 
 
 def test_degree_budget_exits_3_within_seconds():
-    for args in (["search", "100000", "0"], ["genera", "100000"], ["ranges", "100000"], ["mseq", "100000"]):
+    for args in (
+        ["search", "100000", "0"],
+        ["genera", "100000"],
+        ["ranges", "100000"],
+        ["mseq", "100000"],
+        ["hilbert", "1,1^1000000000"],
+        ["hilbert", "1,2,1", "--tmax", "1000000000"],
+    ):
         result = subprocess.run(
             [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=10
         )
@@ -214,6 +221,8 @@ def test_cache_environment_variable_cannot_change_an_answer(tmp_path):
 def test_import_loads_neither_numpy_nor_numba():
     code = (
         "import sys, acmgenera, acmgenera.cli; "
+        "acmgenera.brute_force_length_profile(12); acmgenera.brute_force_genera(12); "
+        "acmgenera.count_osequences(12); "
         "print(sorted({'numpy', 'numba', 'concurrent.futures'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from acmgenera import (
+    BudgetError,
     binomial,
     expand,
     format_oseq,
@@ -13,6 +14,7 @@ from acmgenera import (
     multiplicity,
     parse_oseq,
 )
+from acmgenera.macaulay import MAX_TMAX
 from conftest import pascal_admissible, reference_sequences
 
 
@@ -151,6 +153,9 @@ def test_hilbert_data_examples():
         hilbert_data((1, 2, 4), 3)
     with pytest.raises(ValueError):
         hilbert_data((1, 1), -1)
+    assert len(hilbert_data((1, 1), MAX_TMAX).curve) == MAX_TMAX + 1
+    with pytest.raises(BudgetError):
+        hilbert_data((1, 1), MAX_TMAX + 1)
 
 
 def test_hilbert_polynomial_holds_from_postulation_regularity():
@@ -190,6 +195,9 @@ def test_parse_and_format():
         parse_oseq("1,2^0")
     with pytest.raises(ValueError):
         parse_oseq("")
+    assert len(parse_oseq("1^1000")) == 1000  # the degree budget itself is allowed
+    with pytest.raises(BudgetError):
+        parse_oseq("1,1^1000")
 
 
 def test_multiplicity():

@@ -19,7 +19,7 @@ from acmgenera import (
     multiplicity,
 )
 from acmgenera._kernels import search_fixed_both
-from acmgenera import _kernels
+from acmgenera import _kernels, trees
 from acmgenera.ranges import hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
 from conftest import reference_genera, reference_genera_by_length, reference_sequences
@@ -55,6 +55,15 @@ def test_genus_search_returns_first_preorder_witness():
         for g in range(top + 2):
             expected = next((h for h in order if genus(h) == g), None)
             assert genus_search(g, family) == expected, (family.kind, g)
+
+
+def test_capped_genus_search_keeps_the_node_budget(monkeypatch):
+    # the walk for C(29,2) - 1 on full(cap=30) expands some 67k vertices
+    monkeypatch.setattr(trees, "DEFAULT_NODE_BUDGET", 1000)
+    for family in (TreeFamily.full(cap=30), TreeFamily.fixed_length(8, cap=30)):
+        with pytest.raises(BudgetError):
+            genus_search(comb(29, 2) - 1, family)
+    assert genus_search(3, TreeFamily.full(cap=30)) is not None  # a short walk stays within it
 
 
 def test_genus_search_absent_iff_unattained():
@@ -122,10 +131,14 @@ def test_brute_force_budget():
         brute_force_genera(75)
     with pytest.raises(BudgetError):
         count_osequences(41)
+    with pytest.raises(BudgetError):
+        _kernels.brute_force_attained(41)
 
 
 def test_length_profile():
     profile = brute_force_length_profile(12)
+    assert profile.shape == (56, 13)
+    assert type(profile[0, 1]) is bool
     attained = {(g, s) for g in range(profile.shape[0]) for s in range(profile.shape[1]) if profile[g, s]}
     expected = {(genus(h), len(h)) for h in reference_sequences(12)}
     assert attained == expected
