@@ -49,11 +49,6 @@ def _search_impl(d, s, targets, bounds):
     in preorder; returns {genus: witness} for the targets found.  Needs
     s <= d.
 
-    The fixed-multiplicity tree is the same walk on the entries padded with
-    0 instead of 1 past the last one: the root is (1, d-1, 0, ..., 0), a
-    child at j = J raises the last entry and one at J + 1 appends a 1, and
-    each witness is cut after its last nonzero entry.
-
     A vertex has at most two children.  Along a tree path the raised
     positions never decrease, so at a vertex created by a move to J every
     entry past J is 1 (or 0); since macaulay_bound(1, t) = 1, no
@@ -61,23 +56,15 @@ def _search_impl(d, s, targets, bounds):
     J + 1 (j = 2 at the root, J = 1 there), which skips only failing
     candidates and leaves the preorder unchanged.
     """
-    cut = s is None
-    if cut:
-        s = d
     if s == 1:  # only (1,), of multiplicity 1 and genus 0
         return {0: (1,)} if d == 1 and 0 in targets else {}
-    if cut:
-        h = [0] * s
-        h[0], h[1] = 1, d - 1
-        g = 0
-    else:
-        h = [1] * s
-        h[1] = d - s + 1
-        g = (s - 1) * (s - 2) // 2
+    h = [1] * s
+    h[1] = d - s + 1
+    g = (s - 1) * (s - 2) // 2
     todo = set(targets)
     found = {}
     if g in todo:
-        found[g] = tuple(h[:2]) if cut else tuple(h)
+        found[g] = tuple(h)
         todo.discard(g)
     if not todo:
         return found
@@ -108,7 +95,7 @@ def _search_impl(d, s, targets, bounds):
                 if ok:
                     gc = g + j - 1
                     if gc in todo:
-                        w = h[: j + 1] if cut else h[:]
+                        w = h[:]
                         w[1] -= 1
                         w[j] += 1
                         found[gc] = tuple(w)
@@ -303,8 +290,13 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
 def search_multiplicity(d: int, target: int):
     """First witness of ``target`` among all multiplicity-d sequences, or None."""
     _check_degree(d)
-    target = int(target)
-    return _search_impl(d, None, [target], bound_table(d)).get(target)
+    g = int(target)
+    bounds = bound_table(d)
+    return max(
+        (_search_impl(d, s, [g], bounds)[g] for s in _lengths_of(d, g)),
+        key=lambda w: w[2:] + (0,) * (d - len(w)),
+        default=None,
+    )
 
 
 def brute_force_attained(d: int) -> tuple[list[int], int]:
@@ -349,20 +341,24 @@ def length_profile(d: int) -> tuple[int, ...]:
     return tuple(_profile_prefix(d, d))
 
 
-def shortest_length(d: int, g: int):
-    """Least s such that some multiplicity-d O-sequence of length s has genus g, or None.
+def _lengths_of(d: int, g: int) -> Iterator[int]:
+    """Each s, ascending, such that some multiplicity-d O-sequence of length s has genus g.
 
     A length-s sequence has genus at least C(s-1, 2), so the profile is
-    built only up to the answer, or for a gap up to the last length whose
-    least genus is at most g.
+    built only up to the length last asked for, and never past the last
+    length whose least genus is at most g.
     """
-    _check_degree(d)
     s = 1
     while s <= d and (s - 1) * (s - 2) // 2 <= g:
         if _profile_prefix(d, s)[s] >> g & 1:
-            return s
+            yield s
         s += 1
-    return None
+
+
+def shortest_length(d: int, g: int):
+    """Least s such that some multiplicity-d O-sequence of length s has genus g, or None."""
+    _check_degree(d)
+    return next(_lengths_of(d, g), None)
 
 
 def clear_kernel_caches():

@@ -43,8 +43,6 @@ def genus_search(g: int, family: TreeFamily):
         hits = _kernels.search_fixed_both(family.d, family.s, [g])
         return hits.get(g)
     if family.kind == "multiplicity":
-        if _kernels.shortest_length(family.d, g) is None:
-            return None
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
     # position-1 edges, so only strictly larger genera are pruned
