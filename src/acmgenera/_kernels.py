@@ -1,10 +1,11 @@
 """Hot search kernels: one pruned tree walk, the exhaustive enumeration and
 the per-length genus profile.
 
-One depth-first walk searches both finite tree families, fixed multiplicity
-and fixed multiplicity and length.  It and the exhaustive enumeration
-dominate the runtime of a degree classification.  Both are explicit-stack
-loops over plain lists, reading the growth bound from a per-degree table of
+One depth-first walk searches the fixed-(d, s) tree; a fixed-multiplicity
+search is that walk at the lengths the degree's genus profile marks.  The
+walk and the exhaustive enumeration dominate the runtime of a degree
+classification.  Both are explicit-stack loops over plain lists, reading the
+growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
 """
@@ -39,8 +40,7 @@ def _check_degree(d: int):
 
 
 def _search_impl(d, s, targets, bounds):
-    """Multi-target DFS over the tree of multiplicity-d sequences of length s,
-    or of every length when s is None.
+    """Multi-target DFS over the tree of multiplicity-d sequences of length s.
 
     Children move one unit from position 1 to a position j >= J, the highest
     position already raised; genus grows by j - 1 along each edge, so a
@@ -51,7 +51,7 @@ def _search_impl(d, s, targets, bounds):
 
     A vertex has at most two children.  Along a tree path the raised
     positions never decrease, so at a vertex created by a move to J every
-    entry past J is 1 (or 0); since macaulay_bound(1, t) = 1, no
+    entry past J is 1; since macaulay_bound(1, t) = 1, no
     j >= J + 2 is admissible.  The child loop therefore tries only j = J and
     J + 1 (j = 2 at the root, J = 1 there), which skips only failing
     candidates and leaves the preorder unchanged.
@@ -288,7 +288,16 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
 
 
 def search_multiplicity(d: int, target: int):
-    """First witness of ``target`` among all multiplicity-d sequences, or None."""
+    """First witness of ``target`` in the fixed-multiplicity tree's preorder, or None.
+
+    In that tree, as in each fixed-(d, s) tree, the raised positions never
+    decrease along a path and genus rises strictly along every edge, so of
+    two vertices of one genus the one met first in preorder has the
+    lexicographically larger (h_2, h_3, ...), with missing entries read as
+    0.  Every multiplicity-d sequence lies in exactly one fixed-(d, s) tree,
+    so the witness is the largest of the per-length witnesses over the
+    lengths whose profile holds the target.
+    """
     _check_degree(d)
     g = int(target)
     bounds = bound_table(d)

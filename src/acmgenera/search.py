@@ -18,12 +18,11 @@ from functools import cached_property
 from math import comb
 from time import perf_counter
 
-from . import _kernels, trees
+from . import _kernels
 from .continuity import GenusSet, certain_genera
-from .errors import BudgetError
 from .macaulay import genus
 from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, min_genus
-from .trees import TreeFamily, _children, root_of
+from .trees import TreeFamily, _walk
 
 
 def genus_search(g: int, family: TreeFamily):
@@ -31,11 +30,12 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-multiplicity family, a genus absent from the degree's
-    per-length genus profile (:func:`~acmgenera._kernels.shortest_length`)
-    returns None without a walk.  On the capped families the walk raises
-    :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET`` vertices, as a
-    family visit does; the budget is read at call time.
+    On the fixed-multiplicity family the search reads the degree's
+    per-length genus profile itself
+    (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
+    returns None without a walk.  On the capped families the family's own
+    walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
+    vertices; the budget is read at call time.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -46,19 +46,9 @@ def genus_search(g: int, family: TreeFamily):
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
     # position-1 edges, so only strictly larger genera are pruned
-    budget = trees.DEFAULT_NODE_BUDGET
-    seen = 0
-    stack = [root_of(family)]
-    while stack:
-        h = stack.pop()
-        seen += 1
-        if seen > budget:
-            raise BudgetError(f"family visit exceeded the {budget}-node budget")
-        gh = genus(h)
-        if gh == g:
+    for h, _ in _walk(family, lambda h: genus(h) < g):
+        if genus(h) == g:
             return h
-        if gh < g:
-            stack.extend(reversed(_children(h, family)))
     return None
 
 

@@ -167,44 +167,50 @@ def parent(h, family: TreeFamily) -> Optional[tuple[int, ...]]:
     return tuple(p)
 
 
-def _walk(family: TreeFamily, max_nodes: int) -> Iterator[tuple[tuple[int, ...], list]]:
-    """``(vertex, children)`` in depth-first preorder; every vertex is generated, so none is re-checked."""
+def _walk(family: TreeFamily, expand=lambda h: True) -> Iterator[tuple[tuple[int, ...], list]]:
+    """``(vertex, children)`` in depth-first preorder; every vertex is generated, so none is re-checked.
+
+    A vertex that ``expand`` rejects is yielded with no children, which
+    prunes its subtree.  The walk raises :class:`BudgetError` past
+    ``DEFAULT_NODE_BUDGET`` vertices, read when it starts.
+    """
+    budget = DEFAULT_NODE_BUDGET
     seen = 0
     stack = [root_of(family)]
     while stack:
         h = stack.pop()
         seen += 1
-        if seen > max_nodes:
-            raise BudgetError(f"family visit exceeded the {max_nodes}-node budget")
-        kids = _children(h, family)
+        if seen > budget:
+            raise BudgetError(f"family visit exceeded the {budget}-node budget")
+        kids = _children(h, family) if expand(h) else []
         yield h, kids
         stack.extend(reversed(kids))
 
 
-def iter_family(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[int, ...]]:
+def iter_family(family: TreeFamily) -> Iterator[tuple[int, ...]]:
     """Depth-first preorder over every vertex of the family, each exactly once."""
-    for h, _ in _walk(family, max_nodes):
+    for h, _ in _walk(family):
         yield h
 
 
-def tree_edges(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> Iterator[tuple[tuple, tuple]]:
+def tree_edges(family: TreeFamily) -> Iterator[tuple[tuple, tuple]]:
     """All (parent, child) tree edges, in preorder of the parent."""
-    for h, kids in _walk(family, max_nodes):
+    for h, kids in _walk(family):
         for c in kids:
             yield h, c
 
 
-def export_json(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> dict:
+def export_json(family: TreeFamily) -> dict:
     """Adjacency form ``{"root": ..., "edges": [[h, h'], ...]}`` of the tree."""
-    edges = [[format_oseq(a), format_oseq(b)] for a, b in tree_edges(family, max_nodes)]
+    edges = [[format_oseq(a), format_oseq(b)] for a, b in tree_edges(family)]
     return {"root": format_oseq(root_of(family)), "edges": edges}
 
 
-def export_dot(family: TreeFamily, max_nodes: int = DEFAULT_NODE_BUDGET) -> str:
+def export_dot(family: TreeFamily) -> str:
     """DOT digraph of the spanning tree."""
     lines = ["digraph oseq_tree {"]
     lines.append(f'  root = "{format_oseq(root_of(family))}";')
-    for a, b in tree_edges(family, max_nodes):
+    for a, b in tree_edges(family):
         lines.append(f'  "{format_oseq(a)}" -> "{format_oseq(b)}";')
     lines.append("}")
     return "\n".join(lines)
@@ -277,9 +283,9 @@ def total_compare(h1, h2) -> int:
     return 0
 
 
-def export_tree(family: TreeFamily, fmt: str, max_nodes: int = DEFAULT_NODE_BUDGET):
+def export_tree(family: TreeFamily, fmt: str):
     if fmt == "dot":
-        return export_dot(family, max_nodes)
+        return export_dot(family)
     if fmt == "json":
-        return json.dumps(export_json(family, max_nodes), sort_keys=True)
+        return json.dumps(export_json(family), sort_keys=True)
     raise ValueError(f"unknown export format {fmt!r}")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from acmgenera import certain_genera, cli, m_sequence
+from acmgenera._kernels import length_profile, search_fixed_both
 
 
 def run_cli(args, capsys):
@@ -200,6 +201,26 @@ def test_degree_budget_exits_3_within_seconds():
         )
         assert result.returncode == 3, (args, result.stderr)
         assert "budget exceeded" in result.stderr, args
+
+
+def test_search_at_a_long_shortest_length_answers_within_seconds():
+    # one fixed-(d, s) walk per length that attains the genus; one walk of
+    # the whole fixed-multiplicity tree ran for over a minute here
+    d, g = 80, 2500
+    result = subprocess.run(
+        [sys.executable, "-m", "acmgenera.cli", "search", str(d), str(g)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1,2,3,4,2,2" + ",1" * 66
+    # the definition: the largest (h_2, h_3, ...) of the per-length witnesses,
+    # missing entries read as 0
+    profile = length_profile(d)
+    per_length = [search_fixed_both(d, s, [g])[g] for s in range(d + 1) if profile[s] >> g & 1]
+    best = max(per_length, key=lambda w: w[2:] + (0,) * (d - len(w)))
+    assert result.stdout.strip() == ",".join(map(str, best))
 
 
 def test_cache_environment_variable_cannot_change_an_answer(tmp_path):

@@ -71,8 +71,8 @@ def test_fixed_both_children_sit_at_j_and_j_plus_one():
 
 
 def test_fixed_multiplicity_children_bump_the_last_entry_or_append():
-    # the same walk with 0 past the last entry: J is the last position, a
-    # child at J raises the last entry and one at J + 1 appends a 1
+    # with 0 past the last entry, J is the last position: a child at J
+    # raises the last entry and one at J + 1 appends a 1
     for d in range(2, 21):
         family = TreeFamily.fixed_multiplicity(d)
         for h in iter_family(family):
@@ -87,14 +87,24 @@ def test_fixed_multiplicity_children_bump_the_last_entry_or_append():
                     assert c[2:] == h[2:] + (1,), (d, h, c)
 
 
-def test_search_multiplicity_returns_first_preorder_witness_or_none():
-    # called directly, so a gap walks the tree instead of stopping at the profile
-    for d in range(1, 23):
+def _assert_multiplicity_witnesses_are_first_in_preorder(degrees):
+    for d in degrees:
         first: dict[int, tuple[int, ...]] = {}
         for h in iter_family(TreeFamily.fixed_multiplicity(d)):
             first.setdefault(genus(h), h)
-        for g in range(comb(d - 1, 2) + 2):
+        for g in range(-1, comb(d - 1, 2) + 2):
             assert _kernels.search_multiplicity(d, g) == first.get(g), (d, g)
+
+
+def test_search_multiplicity_returns_first_preorder_witness_or_none():
+    # called directly, so a negative genus or a gap must come back None from
+    # the profile with no exception, and a genus from the per-length searches
+    _assert_multiplicity_witnesses_are_first_in_preorder(range(1, 23))
+
+
+@pytest.mark.slow
+def test_search_multiplicity_first_preorder_witness_audit():
+    _assert_multiplicity_witnesses_are_first_in_preorder(range(23, 37))
 
 
 def test_search_fixed_both_returns_first_preorder_witness_of_every_genus():

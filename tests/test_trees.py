@@ -19,6 +19,7 @@ from acmgenera import (
     root_of,
     total_compare,
 )
+from acmgenera import trees
 from conftest import reference_sequences
 
 FULL10 = TreeFamily.full(cap=10)
@@ -129,9 +130,11 @@ def test_vertex_count_bound():
         assert len(reference_sequences(d)) < 2 ** (d - 2), d
 
 
-def test_node_budget():
-    with pytest.raises(BudgetError):
-        list(iter_family(TreeFamily.fixed_multiplicity(9), max_nodes=3))
+def test_node_budget(monkeypatch):
+    # the walk reads the budget when it starts
+    monkeypatch.setattr(trees, "DEFAULT_NODE_BUDGET", 3)
+    with pytest.raises(BudgetError, match="3-node budget"):
+        list(iter_family(TreeFamily.fixed_multiplicity(9)))
 
 
 def _families_for(d):
