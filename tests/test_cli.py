@@ -204,8 +204,9 @@ def test_degree_budget_exits_3_within_seconds():
 
 
 def test_search_at_a_long_shortest_length_answers_within_seconds():
-    # one fixed-(d, s) walk per length that attains the genus; one walk of
-    # the whole fixed-multiplicity tree ran for over a minute here
+    # one fixed-(d, s) walk per length that attains the genus answers in
+    # well under a second; one pruned walk of the whole fixed-multiplicity
+    # tree takes over a minute at this genus
     d, g = 80, 2500
     result = subprocess.run(
         [sys.executable, "-m", "acmgenera.cli", "search", str(d), str(g)],
