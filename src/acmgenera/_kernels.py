@@ -236,6 +236,8 @@ def _length_profile_impl(d, bounds):
 
 _table_cache: dict[int, list[list[int]]] = {}
 _profile_cache: dict[int, tuple[list[int], Iterator[int]]] = {}
+# excess k -> [watermark, {offset: core h_1..h_k, or None if absent}]
+_excess_cache: dict[int, list] = {}
 _cache_lock = threading.Lock()
 
 
@@ -271,6 +273,37 @@ def bound_table(d: int) -> list[list[int]]:
         return tab
 
 
+def _excess_cores(k: int, offsets: list[int], bounds) -> dict[int, tuple[int, ...] | None]:
+    """Core h_1..h_k (None if absent) of each offset, ascending, at excess k.
+
+    The first request for k walks exactly its offsets; a later one whose top
+    offset lies above k's watermark walks every unknown offset up to that
+    top and raises the watermark there; any other is a lookup.  Every offset
+    up to the watermark is known.  The walk runs outside the lock.
+    """
+    top = offsets[-1]
+    with _cache_lock:
+        entry = _excess_cache.get(k)
+        if entry is None:
+            walk, mark = offsets, -1
+        elif top > entry[0]:
+            walk = [o for o in range(entry[0] + 1, top + 1) if o not in entry[1]]
+            mark = top
+        else:
+            return {o: entry[1][o] for o in offsets}
+    base = comb(k, 2)
+    found = _search_impl(2 * k + 1, k + 1, [base + o for o in walk], bounds) if walk else {}
+    with _cache_lock:
+        entry = _excess_cache.setdefault(k, [-1, {}])
+        known = entry[1]
+        for o in walk:
+            w = found.get(base + o)
+            known[o] = None if w is None else w[1:]
+        if mark > entry[0]:
+            entry[0] = mark
+        return {o: known[o] for o in offsets}
+
+
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s.
 
@@ -283,8 +316,18 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     tlist = sorted({int(g) for g in targets})
     if not tlist or s > d:
         return {}
-    found = _search_impl(d, s, tlist, bound_table(d))
-    return {g: found[g] for g in tlist if g in found}
+    bounds = bound_table(d)  # outside the lock, which bound_table takes
+    k = d - s
+    if s <= k:  # a short length: the tree depends on d
+        found = _search_impl(d, s, tlist, bounds)
+        return {g: found[g] for g in tlist if g in found}
+    base = comb(s - 1, 2)
+    offsets = [g - base for g in tlist if 0 <= g - base <= comb(k, 2)]
+    if not offsets:
+        return {}
+    tail = (1,) * (s - 1 - k)
+    cores = _excess_cores(k, offsets, bounds)
+    return {base + o: (1,) + c + tail for o, c in cores.items() if c is not None}
 
 
 def search_multiplicity(d: int, target: int):
@@ -374,3 +417,4 @@ def clear_kernel_caches():
     with _cache_lock:
         _table_cache.clear()
         _profile_cache.clear()
+        _excess_cache.clear()

@@ -40,8 +40,8 @@ def genus_search(g: int, family: TreeFamily):
     if g < 0:
         raise ValueError("genus must be non-negative")
     if family.kind == "both":
-        hits = _kernels.search_fixed_both(family.d, family.s, [g])
-        return hits.get(g)
+        bounds = _kernels.bound_table(family.d)
+        return _kernels._search_impl(family.d, family.s, [g], bounds).get(g)
     if family.kind == "multiplicity":
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
