@@ -8,6 +8,12 @@ classification.  Both are explicit-stack loops over plain lists, reading the
 growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
+
+At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
+excess k = d - s (see :func:`search_fixed_both`), so the batch search keeps
+one table of witness cores per k and every degree of a tabulation reads it:
+a cold classification walks what it walked without the table, and the
+next degrees mostly look up.
 """
 from __future__ import annotations
 
@@ -309,6 +315,20 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
 
     No sequence of multiplicity d is longer than d, so s > d finds nothing;
     a length below 1 raises ValueError.
+
+    A long length, s >= d//2 + 1, is answered from a table per excess
+    k = d - s that serves every degree.  A length-s sequence is
+    (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
+    C(s-1,2) plus an offset o = sum (i-1)(h_i - 1), and the excesses h_i - 1
+    sum to k.  Position j is raised only while h_1..h_{j-1} are at least 2,
+    so the raised positions stay at or below k <= s - 1 and the cap at
+    s - 1 never binds; every bound the walk reads has a + t <= 2k + 1 <= d.  So the fixed-(d, s)
+    walk is the walk of the canonical tree (2k + 1, k + 1) on the core
+    h_1..h_k, with targets C(k,2) + o, the same preorder for every degree
+    of that excess, and ``bound_table(d)`` serves it.  A genus's witness is
+    the first vertex of that genus in preorder whatever the other targets
+    are, so a cached core is the witness the direct walk returns, and the
+    witness at (d, s) is (1,) + core + (1,) * (s - 1 - k).
     """
     _check_degree(d)
     if s < 1:

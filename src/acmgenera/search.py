@@ -9,7 +9,10 @@ values still pending, applied for s = 2 .. d in ascending order: a pending
 value below the least genus of length s is a gap, and the pending values in
 the (d, s)-range are searched for at length s, except that length's hole
 values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
-attains and which stay pending for the longer lengths.
+attains and which stay pending for the longer lengths.  Those searches go
+through :func:`~acmgenera._kernels.search_fixed_both`, whose per-excess
+table lets the classifications of a range of degrees share their walks at
+the long lengths; a single-genus search walks its tree directly.
 """
 from __future__ import annotations
 
@@ -30,8 +33,10 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-multiplicity family the search reads the degree's
-    per-length genus profile itself
+    On the fixed-(d, s) family one walk looks for ``g`` alone; it does not
+    go through the batch search's per-excess table, which would fill a band
+    of offsets to answer one.  On the fixed-multiplicity family the search
+    reads the degree's per-length genus profile itself
     (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
     returns None without a walk.  On the capped families the family's own
     walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
