@@ -10,10 +10,10 @@ growth bound from a per-degree table of
 dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
-excess k = d - s (see :func:`search_fixed_both`), so the batch search keeps
-one table of witness cores per k and every degree of a tabulation reads it:
-a cold classification walks what it walked without the table, and the
-next degrees mostly look up.
+excess k = d - s (see :func:`search_fixed_both`).  The batch search walks
+the canonical tree of each excess, (2k + 1, k + 1), once and whole, and
+keeps every witness it finds; every degree reads that complete table, so
+its answers do not depend on which requests came before.
 """
 from __future__ import annotations
 
@@ -242,8 +242,8 @@ def _length_profile_impl(d, bounds):
 
 _table_cache: dict[int, list[list[int]]] = {}
 _profile_cache: dict[int, tuple[list[int], Iterator[int]]] = {}
-# excess k -> [watermark, {offset: core h_1..h_k, or None if absent}]
-_excess_cache: dict[int, list] = {}
+# excess k -> {genus: witness} over the whole canonical tree (2k + 1, k + 1)
+_excess_cache: dict[int, dict[int, tuple[int, ...]]] = {}
 _cache_lock = threading.Lock()
 
 
@@ -279,35 +279,21 @@ def bound_table(d: int) -> list[list[int]]:
         return tab
 
 
-def _excess_cores(k: int, offsets: list[int], bounds) -> dict[int, tuple[int, ...] | None]:
-    """Core h_1..h_k (None if absent) of each offset, ascending, at excess k.
+def _excess_witnesses(k: int) -> dict[int, tuple[int, ...]]:
+    """Every genus of the canonical tree (2k + 1, k + 1), with its witness.
 
-    The first request for k walks exactly its offsets; a later one whose top
-    offset lies above k's watermark walks every unknown offset up to that
-    top and raises the watermark there; any other is a lookup.  Every offset
-    up to the watermark is known.  The walk runs outside the lock.
+    The first request for k walks that tree once over its whole genus
+    range, C(k,2) .. 2 C(k,2), outside the lock; the table is kept until
+    :func:`clear_kernel_caches`, so every later request is a lookup.
     """
-    top = offsets[-1]
     with _cache_lock:
-        entry = _excess_cache.get(k)
-        if entry is None:
-            walk, mark = offsets, -1
-        elif top > entry[0]:
-            walk = [o for o in range(entry[0] + 1, top + 1) if o not in entry[1]]
-            mark = top
-        else:
-            return {o: entry[1][o] for o in offsets}
-    base = comb(k, 2)
-    found = _search_impl(2 * k + 1, k + 1, [base + o for o in walk], bounds) if walk else {}
-    with _cache_lock:
-        entry = _excess_cache.setdefault(k, [-1, {}])
-        known = entry[1]
-        for o in walk:
-            w = found.get(base + o)
-            known[o] = None if w is None else w[1:]
-        if mark > entry[0]:
-            entry[0] = mark
-        return {o: known[o] for o in offsets}
+        found = _excess_cache.get(k)
+    if found is None:
+        base = comb(k, 2)
+        found = _search_impl(2 * k + 1, k + 1, range(base, 2 * base + 1), bound_table(2 * k + 1))
+        with _cache_lock:
+            found = _excess_cache.setdefault(k, found)
+    return found
 
 
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
@@ -316,19 +302,20 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     No sequence of multiplicity d is longer than d, so s > d finds nothing;
     a length below 1 raises ValueError.
 
-    A long length, s >= d//2 + 1, is answered from a table per excess
-    k = d - s that serves every degree.  A length-s sequence is
+    A long length, s >= d//2 + 1, is answered from a complete table per
+    excess k = d - s that serves every degree.  A length-s sequence is
     (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
     C(s-1,2) plus an offset o = sum (i-1)(h_i - 1), and the excesses h_i - 1
     sum to k.  Position j is raised only while h_1..h_{j-1} are at least 2,
     so the raised positions stay at or below k <= s - 1 and the cap at
-    s - 1 never binds; every bound the walk reads has a + t <= 2k + 1 <= d.  So the fixed-(d, s)
-    walk is the walk of the canonical tree (2k + 1, k + 1) on the core
-    h_1..h_k, with targets C(k,2) + o, the same preorder for every degree
-    of that excess, and ``bound_table(d)`` serves it.  A genus's witness is
-    the first vertex of that genus in preorder whatever the other targets
-    are, so a cached core is the witness the direct walk returns, and the
-    witness at (d, s) is (1,) + core + (1,) * (s - 1 - k).
+    s - 1 never binds.  So the fixed-(d, s) walk is the walk of the
+    canonical tree (2k + 1, k + 1) on the core h_1..h_k, with genus
+    C(k,2) + o, the same preorder for every degree of that excess; every
+    bound it reads has a + t <= 2k + 1, which ``bound_table(2k + 1)``
+    enforces by raising past that domain.  A genus's witness is the first
+    vertex of that genus in preorder whatever the other targets are, so the
+    canonical witness (1,) + core is the one the direct walk returns, and
+    the witness at (d, s) is (1,) + core + (1,) * (s - 1 - k).
     """
     _check_degree(d)
     if s < 1:
@@ -336,18 +323,14 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     tlist = sorted({int(g) for g in targets})
     if not tlist or s > d:
         return {}
-    bounds = bound_table(d)  # outside the lock, which bound_table takes
     k = d - s
     if s <= k:  # a short length: the tree depends on d
-        found = _search_impl(d, s, tlist, bounds)
+        found = _search_impl(d, s, tlist, bound_table(d))
         return {g: found[g] for g in tlist if g in found}
-    base = comb(s - 1, 2)
-    offsets = [g - base for g in tlist if 0 <= g - base <= comb(k, 2)]
-    if not offsets:
-        return {}
+    found = _excess_witnesses(k)
+    shift = comb(k, 2) - comb(s - 1, 2)
     tail = (1,) * (s - 1 - k)
-    cores = _excess_cores(k, offsets, bounds)
-    return {base + o: (1,) + c + tail for o, c in cores.items() if c is not None}
+    return {g: found[g + shift] + tail for g in tlist if g + shift in found}
 
 
 def search_multiplicity(d: int, target: int):

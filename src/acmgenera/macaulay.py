@@ -52,9 +52,15 @@ def expand(a: int, t: int) -> BinomialExpansion:
     terms = []
     rem, base = a, t
     while rem > 0:
-        k = base
-        while math.comb(k + 1, base) <= rem:
-            k += 1
+        # the largest k with C(k, base) <= rem, by doubling then bisection
+        k, step = base, 1
+        while math.comb(k + step, base) <= rem:
+            k += step
+            step *= 2
+        while step > 1:  # C(k, base) <= rem < C(k + step, base)
+            step //= 2
+            if math.comb(k + step, base) <= rem:
+                k += step
         terms.append((k, base))
         rem -= math.comb(k, base)
         base -= 1

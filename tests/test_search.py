@@ -96,6 +96,18 @@ def test_genus_search_is_none_exactly_on_oracle_gaps():
                 assert found is None, (d, g)
 
 
+def test_genus_search_above_the_range_returns_none_without_a_walk(monkeypatch):
+    # a walk for a genus above max_genus(d, s) would visit the whole tree:
+    # at (200, 120), k = 80, it does not finish
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(_kernels, "_search_impl", no_walk)
+    for d, s in [(200, 120), (100, 54), (15, 6), (1, 1)]:
+        assert genus_search(max_genus(d, s) + 1, TreeFamily.fixed_both(d, s)) is None, (d, s)
+    assert genus_search(15000, TreeFamily.fixed_both(200, 120)) is None
+
+
 def test_genus_search_at_length_one():
     family = TreeFamily.fixed_both(1, 1)
     assert genus_search(0, family) == (1,)
