@@ -38,9 +38,9 @@ def genus_search(g: int, family: TreeFamily):
     other genus is looked for alone by one walk.  That walk does not go
     through the batch search's per-excess table: a table is a walk of the
     whole canonical tree, and near k = d/2 it grows past reach.  At
-    (300, 268), k = 32, a low single target took 1.5 ms directly and the
-    whole table 24 ms (2-core x86_64).  On the fixed-multiplicity family
-    the search reads the degree's per-length genus profile itself
+    (300, 268), k = 32, the target at offset 100 took 1.0 ms directly and
+    the whole table 42 ms (2-core x86_64).  On the fixed-multiplicity
+    family the search reads the degree's per-length genus profile itself
     (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
     returns None without a walk.  On the capped families the family's own
     walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``

@@ -203,9 +203,9 @@ def test_present_offsets_follow_the_profile():
 
 @pytest.mark.slow
 def test_present_offsets_follow_the_profile_audit():
-    # a whole canonical walk doubles in cost about every two excess steps,
-    # so the table is asked up to k = 36; the profile masks are checked for
-    # every long length of every degree
+    # a whole canonical walk grows about 1.3-fold per excess step (42 ms at
+    # k = 32, 0.82 s at k = 44), so the table is asked up to k = 36; the
+    # profile masks are checked for every long length of every degree
     _assert_present_offsets_follow_the_profile(range(1, 121), 36)
 
 
