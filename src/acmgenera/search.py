@@ -24,7 +24,7 @@ from time import perf_counter
 from . import _kernels
 from .continuity import GenusSet, certain_genera
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, min_genus
+from .ranges import GapCertificate, certified_gaps, closed_max_genus, hole_window, max_genus, min_genus
 from .trees import TreeFamily, _walk
 
 
@@ -33,26 +33,26 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` returns
-    None without a walk, which would otherwise visit the whole tree; any
-    other genus is looked for alone by one walk.  That walk does not go
-    through the batch search's per-excess table: a table is a walk of the
-    whole canonical tree, and near k = d/2 it grows past reach.  At
-    (300, 268), k = 32, the target at offset 100 took 1.0 ms directly and
-    the whole table 42 ms (2-core x86_64).  On the fixed-multiplicity
-    family the search reads the degree's per-length genus profile itself
-    (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
-    returns None without a walk.  On the capped families the family's own
-    walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
-    vertices; the budget is read at call time.
+    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` (its
+    closed form at s >= d//2 + 1) returns None without a walk, which would
+    otherwise visit the whole tree; any other genus is looked for alone by
+    one walk, not through the batch search's per-excess table: a table is
+    a walk of the whole canonical tree, and near k = d/2 it grows past
+    reach.  At (300, 268), k = 32, the target at offset 100 took 1.0 ms
+    directly and the whole table 42 ms (2-core x86_64).  On the
+    fixed-multiplicity family the search reads the degree's per-length
+    genus profile itself (:func:`~acmgenera._kernels.search_multiplicity`),
+    so an absent genus returns None without a walk.  On the capped
+    families the family's own walk raises :class:`BudgetError` past
+    ``trees.DEFAULT_NODE_BUDGET`` vertices; the budget is read at call time.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
     if family.kind == "both":
-        if g > max_genus(family.d, family.s):
+        d, s = family.d, family.s
+        if g > (closed_max_genus(d, s) if s >= d // 2 + 1 else max_genus(d, s)):
             return None
-        bounds = _kernels.bound_table(family.d)
-        return _kernels._search_impl(family.d, family.s, [g], bounds).get(g)
+        return _kernels._search_impl(d, s, [g], _kernels.bound_table(d)).get(g)
     if family.kind == "multiplicity":
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along

@@ -108,6 +108,24 @@ def test_genus_search_above_the_range_returns_none_without_a_walk(monkeypatch):
     assert genus_search(15000, TreeFamily.fixed_both(200, 120)) is None
 
 
+def test_genus_search_at_a_long_length_builds_no_max_genus_row(monkeypatch):
+    # min_acm_regularity searches at its shortest length, often a long one;
+    # there the closed form C(s-1,2) + C(d-s,2) is the range check
+    def no_row(d, s):
+        raise AssertionError(f"max-genus row for ({d}, {s})")
+
+    monkeypatch.setattr(search_module, "max_genus", no_row)
+    for d, s in [(200, 120), (100, 51), (30, 16), (7, 4), (1, 1)]:
+        top = comb(s - 1, 2) + comb(d - s, 2)
+        assert genus_search(top + 1, TreeFamily.fixed_both(d, s)) is None, (d, s)
+    for d, s in [(40, 21), (30, 16), (7, 4), (1, 1)]:
+        top = comb(s - 1, 2) + comb(d - s, 2)
+        w = genus_search(top, TreeFamily.fixed_both(d, s))
+        assert (genus(w), multiplicity(w), len(w)) == (top, d, s), (d, s)
+    with pytest.raises(AssertionError, match="max-genus row"):
+        genus_search(30, TreeFamily.fixed_both(30, 15))
+
+
 def test_genus_search_at_length_one():
     family = TreeFamily.fixed_both(1, 1)
     assert genus_search(0, family) == (1,)
