@@ -114,12 +114,15 @@ def _cmd_gaps(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
+def _family(args) -> TreeFamily:
+    """The fixed-(d, s) family with ``--length S``, the fixed-multiplicity one without."""
     if args.length is not None:
-        family = TreeFamily.fixed_both(args.d, args.length)
-    else:
-        family = TreeFamily.fixed_multiplicity(args.d)
-    witness = genus_search(args.g, family)
+        return TreeFamily.fixed_both(args.d, args.length)
+    return TreeFamily.fixed_multiplicity(args.d)
+
+
+def _cmd_search(args) -> int:
+    witness = genus_search(args.g, _family(args))
     print("none" if witness is None else format_oseq(witness))
     return EXIT_OK
 
@@ -182,10 +185,7 @@ def _cmd_min_reg(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.length is not None:
-        family = TreeFamily.fixed_both(args.d, args.length)
-    else:
-        family = TreeFamily.fixed_multiplicity(args.d)
+    family = _family(args)
     if args.export:
         print(export_tree(family, args.export))
     else:

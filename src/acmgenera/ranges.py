@@ -2,12 +2,13 @@
 
 For a degree ``d`` the genus of an aCM curve lies in ``[0, C(d-1,2)]``.
 Restricting the h-vector length to ``s`` confines it further to the
-``(d, s)``-range ``[C(s-1,2), max_genus(d, s)]``.  The maximum is computed by
-an exact one-unit-per-step recursion in the multiplicity; for
-``s >= d//2 + 1`` it collapses to the closed form ``C(s-1,2) + C(d-s,2)``.
-The recursion is kept as one row per length: the positions incremented and
-the running genus, extended on demand, so every degree shares the steps of
-the smaller ones and ``max_genus`` is a lookup.
+``(d, s)``-range ``[C(s-1,2), max_genus(d, s)]``.  At a long length,
+``s >= d//2 + 1``, the maximum is the closed form ``C(s-1,2) + C(d-s,2)``,
+attained by ``(1, 2^(d-s), 1^(2s-d-1))``.  At a shorter length it comes from
+an exact one-unit-per-step recursion in the multiplicity, kept as one row per
+length: the positions incremented and the running genus, extended on demand,
+so every degree shares the steps of the smaller ones and ``max_genus`` is a
+lookup.  :func:`max_genus` and :func:`max_oseq` alone choose between the two.
 
 Two closed-form rules certify gaps without any search: the integers strictly
 between a range and the next one when those are separated, and the top few
@@ -91,8 +92,8 @@ _max_lock = threading.Lock()
 
 
 def _max_row(d: int, s: int) -> _MaxRow:
-    """The length-s row, extended through multiplicity ``d``."""
-    if s < 2 and (d, s) != (1, 1):
+    """The length-s row, extended through multiplicity ``d``; asked for only at s <= d//2."""
+    if s < 2:
         raise EmptyFamilyError(f"no O-sequence of length {s} has multiplicity {d}")
     if d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
@@ -108,11 +109,15 @@ def _max_row(d: int, s: int) -> _MaxRow:
 def max_oseq(d: int, s: int) -> tuple[int, ...]:
     """The genus-maximal O-sequence of multiplicity ``d`` and length ``s``.
 
-    Built one multiplicity at a time from ``(1^s)``: each step increments the
-    entry at the highest index that keeps the sequence admissible (position 1
-    is always legal).  One row per length keeps the steps, so a degree reuses
-    those of smaller degrees.
+    At ``d//2 + 1 <= s <= d`` it is the closed form :func:`closed_max_oseq`.
+    Below, it is built one multiplicity at a time from ``(1^s)``: each step
+    increments the entry at the highest index that keeps the sequence
+    admissible (position 1 is always legal).  One row per length keeps the
+    steps, so a degree reuses those of smaller degrees.
     """
+    if d // 2 + 1 <= s <= d:
+        _check_degree(d)
+        return closed_max_oseq(d, s)
     row = _max_row(d, s)
     h = [1] * s
     for i in row.steps[: d - s]:
@@ -121,7 +126,14 @@ def max_oseq(d: int, s: int) -> tuple[int, ...]:
 
 
 def max_genus(d: int, s: int) -> int:
-    """Largest genus attained by an O-sequence of multiplicity ``d``, length ``s``."""
+    """Largest genus attained by an O-sequence of multiplicity ``d``, length ``s``.
+
+    At ``d//2 + 1 <= s <= d`` it is the closed form :func:`closed_max_genus`;
+    below, a lookup in the length-s row of :func:`max_oseq`'s recursion.
+    """
+    if d // 2 + 1 <= s <= d:
+        _check_degree(d)
+        return closed_max_genus(d, s)
     return _max_row(d, s).genera[d - s]
 
 
@@ -176,11 +188,9 @@ def genus_range(d: int, s: int) -> GenusRange:
 
 
 def range_table(d: int) -> list[GenusRange]:
-    """The ranges for every length ``s = 2 .. d`` (plus ``s = 1`` when d = 1)."""
+    """The ranges for every length ``s = 2 .. d`` (``s = 1`` when d = 1)."""
     _check_degree(d)
-    if d == 1:
-        return [GenusRange(1, 1, 0, 0, (1,), (1,), False)]
-    return [genus_range(d, s) for s in range(2, d + 1)]
+    return [genus_range(d, s) for s in range(min(d, 2), d + 1)]
 
 
 def hole_window(d: int, s: int) -> range:
@@ -192,7 +202,7 @@ def hole_window(d: int, s: int) -> range:
     """
     if not 7 <= d // 2 + 1 <= s <= d - 4:
         return range(0)
-    top = (s - 1) * (s - 2) // 2 + (d - s) * (d - s - 1) // 2  # closed_max_genus(d, s)
+    top = closed_max_genus(d, s)
     return range(top - (d - s - 3), top)
 
 

@@ -2,9 +2,13 @@
 
 The reference generator below enumerates O-sequences by direct recursive
 extension of prefixes, using only the growth bound; it never touches the
-tree machinery or the search kernels, so it can vouch for both.
+tree machinery or the search kernels, so it can vouch for both.  Past its
+reach, :func:`independent_checker` loads the benchmark's output checker,
+whose dynamic program imports nothing from the package.
 """
+import importlib.util
 from functools import lru_cache
+from pathlib import Path
 
 import acmgenera as ag
 
@@ -113,3 +117,13 @@ def reference_certified_gaps(d: int) -> list:
             for value in range(top + 1, ag.min_genus(s + 1)):
                 out.append(GapCertificate(value, "between-ranges", s))
     return out
+
+
+@lru_cache(maxsize=None)
+def independent_checker():
+    """perfbench/checker.py, which imports nothing from acmgenera, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("_independent_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -7,12 +7,10 @@ direct walk, to the genus profile's dynamic program, to the independent
 dynamic program in ``perfbench/checker.py``, and to one whole walk per
 excess.
 """
-import importlib.util
 import random
 import threading
 from functools import lru_cache
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ import acmgenera
 from acmgenera import _kernels, acm_genera, is_admissible, max_genus, min_genus
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.ranges import hole_window
+from conftest import independent_checker
 
 
 def _long_lengths(d):
@@ -209,20 +208,10 @@ def test_present_offsets_follow_the_profile_audit():
     _assert_present_offsets_follow_the_profile(range(1, 121), 36)
 
 
-@lru_cache(maxsize=None)
-def _checker():
-    """perfbench/checker.py, which imports nothing from acmgenera, loaded read-only."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
-    spec = importlib.util.spec_from_file_location("_independent_checker", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _assert_offsets_match_the_checker(excesses):
     """Off(k), the present offsets at excess k, equals the checker's DP, and
     the paper's closed-form maximum and hole window follow from it."""
-    checker = _checker()
+    checker = independent_checker()
     acmgenera.clear_caches()
     for k in excesses:
         top = comb(k, 2)

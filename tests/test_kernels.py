@@ -16,6 +16,7 @@ from acmgenera import (
     m_sequence,
     macaulay_bound,
     max_genus,
+    max_oseq,
     min_acm_regularity,
     range_table,
 )
@@ -187,6 +188,8 @@ def test_degree_budget_refuses_every_entry_point_before_allocating():
         lambda: certain_genera(over),
         lambda: m_sequence(over),
         lambda: max_genus(over, 2),
+        lambda: max_genus(over, over),
+        lambda: max_oseq(over, over - 1),
         lambda: bound_table(over),
         lambda: length_profile(over),
         lambda: _kernels.shortest_length(over, 0),

@@ -4,6 +4,7 @@ import pytest
 
 from acmgenera import (
     EmptyFamilyError,
+    acm_genera,
     binomial,
     certified_gaps,
     clear_caches,
@@ -83,6 +84,37 @@ def test_closed_form_matches_recursion():
             assert max_genus(d, s) == binomial(s - 1, 2) + binomial(d - s, 2), (d, s)
     with pytest.raises(ValueError):
         closed_max_genus(20, 5)
+
+
+def test_recursion_matches_the_closed_form_at_long_lengths():
+    # max_genus and max_oseq answer long lengths by the closed form and never
+    # build a row there, so the rows are replayed directly to keep the
+    # recursion under test on the lengths where the two must agree
+    for d in range(4, 61):
+        for s in range(d // 2 + 1, d + 1):
+            row = ranges._max_row(d, s)
+            h = [1] * s
+            for i in row.steps[: d - s]:
+                h[i] += 1
+            assert tuple(h) == closed_max_oseq(d, s), (d, s)
+            assert row.genera[d - s] == closed_max_genus(d, s), (d, s)
+    clear_caches()
+
+
+def test_max_genus_is_the_top_of_the_genus_profile():
+    # the closed form is wrong at s = d//2 for every d from 4 to 60, so a
+    # switch to it one length too early fails here
+    for d in range(1, 61):
+        profile = _kernels.length_profile(d)
+        for s in range(min(d, 2), d + 1):
+            assert max_genus(d, s) == profile[s].bit_length() - 1, (d, s)
+
+
+@pytest.mark.parametrize("d", [50, 100, 150])
+def test_classification_builds_max_genus_rows_only_below_the_long_lengths(d):
+    clear_caches()
+    acm_genera(d)
+    assert ranges._max_rows and max(ranges._max_rows) <= d // 2
 
 
 def test_extremes_against_enumeration():

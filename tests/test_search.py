@@ -19,10 +19,10 @@ from acmgenera import (
     multiplicity,
 )
 from acmgenera._kernels import search_fixed_both
-from acmgenera import _kernels, trees
+from acmgenera import _kernels, ranges, trees
 from acmgenera.ranges import hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
-from conftest import reference_genera, reference_genera_by_length, reference_sequences
+from conftest import independent_checker, reference_genera, reference_genera_by_length, reference_sequences
 
 
 def test_genus_search_examples():
@@ -110,11 +110,11 @@ def test_genus_search_above_the_range_returns_none_without_a_walk(monkeypatch):
 
 def test_genus_search_at_a_long_length_builds_no_max_genus_row(monkeypatch):
     # min_acm_regularity searches at its shortest length, often a long one;
-    # there the closed form C(s-1,2) + C(d-s,2) is the range check
+    # there max_genus answers by the closed form C(s-1,2) + C(d-s,2)
     def no_row(d, s):
         raise AssertionError(f"max-genus row for ({d}, {s})")
 
-    monkeypatch.setattr(search_module, "max_genus", no_row)
+    monkeypatch.setattr(ranges, "_max_row", no_row)
     for d, s in [(200, 120), (100, 51), (30, 16), (7, 4), (1, 1)]:
         top = comb(s - 1, 2) + comb(d - s, 2)
         assert genus_search(top + 1, TreeFamily.fixed_both(d, s)) is None, (d, s)
@@ -283,6 +283,29 @@ def test_witness_validity_up_to_60():
                 assert h in set(iter_family(TreeFamily.fixed_both(d, len(h))))
         # searched values are exactly the non-certain genera
         assert set(cls.witnesses) == set(cls.genera) - set(cls.certain)
+
+
+def _assert_checker_confirms(degrees):
+    """The independent checker's DP confirms each classification past the
+    exhaustive oracle: genera, gaps and witnesses, each witness at the
+    shortest length of its genus, and no step-1 genus among the gaps."""
+    checker = independent_checker()
+    for d in degrees:
+        cls = acm_genera(d)
+        assert checker.classification_problems(cls) == [], d
+        for g, h in cls.witnesses.items():
+            assert len(h) == checker.min_length(d, g), (d, g)
+        assert not cls.certain.bits & ~checker.genera_mask(d), d
+        checker.length_profile.cache_clear()  # one degree's profile at a time
+
+
+def test_classification_confirmed_by_the_checker_past_the_oracle():
+    _assert_checker_confirms(range(41, 91, 7))
+
+
+@pytest.mark.slow
+def test_classification_confirmed_by_the_checker_audit():
+    _assert_checker_confirms(range(41, 201))
 
 
 def test_cold_and_warm_runs_agree():
