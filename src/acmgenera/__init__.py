@@ -61,10 +61,8 @@ def clear_caches():
     from . import continuity as _c
     from . import macaulay as _m
     from . import ranges as _r
-    from . import trees as _t
 
     _m.macaulay_bound.cache_clear()
-    _t._order_successors.cache_clear()
     _r.clear_range_caches()
     _c.clear_continuity_caches()
     _k.clear_kernel_caches()

@@ -24,7 +24,7 @@ from time import perf_counter
 from . import _kernels
 from .continuity import GenusSet, certain_genera
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, min_genus
+from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, max_oseq, min_genus
 from .trees import TreeFamily, _walk
 
 
@@ -33,8 +33,11 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` returns
-    None without a walk, which would otherwise visit the whole tree; any
+    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` or in the
+    length's :func:`~acmgenera.ranges.hole_window` returns None without a
+    walk, which would otherwise visit the whole tree below it; at a long
+    length, ``s >= d//2 + 1``, the top genus returns ``max_oseq(d, s)``,
+    the only sequence with that genus and so the walk's witness.  Any
     other genus is looked for alone by one walk, not through the batch
     search's per-excess table: a table is a walk of the whole canonical
     tree, and near k = d/2 it grows past reach.  At (300, 268), k = 32, the
@@ -50,8 +53,11 @@ def genus_search(g: int, family: TreeFamily):
         raise ValueError("genus must be non-negative")
     if family.kind == "both":
         d, s = family.d, family.s
-        if g > max_genus(d, s):
+        top = max_genus(d, s)
+        if g > top or g in hole_window(d, s):
             return None
+        if g == top and s > d // 2:
+            return max_oseq(d, s)
         return _kernels._search_impl(d, s, [g], _kernels.bound_table(d)).get(g)
     if family.kind == "multiplicity":
         return _kernels.search_multiplicity(family.d, g)

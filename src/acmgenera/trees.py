@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import BudgetError, EmptyFamilyError, MembershipError
-from .macaulay import format_oseq, genus, is_admissible, multiplicity
+from .macaulay import format_oseq, is_admissible, multiplicity
 from .ranges import min_oseq
 
 PRECEDES_MAX_MULTIPLICITY = 20
@@ -216,31 +215,18 @@ def export_dot(family: TreeFamily) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _order_successors(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Immediate successors of ``h`` in the genus-increasing order on one multiplicity.
-
-    ``h'`` is a successor when h = h0 + e_i, h' = h0 + e_j for an admissible
-    h0 and i < j; equivalently one unit moves from position i to a higher
-    position j through an admissible intermediate.
-    """
-    s = len(h)
-    out = set()
-    for i in range(1, s):
-        if i < s - 1 and h[i] == 1:
-            continue  # removing would leave a zero inside the sequence
-        h0 = h[:-1] if (i == s - 1 and h[i] == 1) else h[:i] + (h[i] - 1,) + h[i + 1:]
-        if not is_admissible(h0):
-            continue
-        for j in range(i + 1, len(h0) + 1):
-            cand = h0 + (1,) if j == len(h0) else h0[:j] + (h0[j] + 1,) + h0[j + 1:]
-            if is_admissible(cand):
-                out.add(cand)
-    return tuple(sorted(out))
-
-
 def precedes(h1, h2) -> bool:
-    """Strict genus-increasing partial order between O-sequences of one multiplicity."""
+    """Strict genus-increasing partial order between O-sequences of one multiplicity.
+
+    By definition ``a`` precedes ``b`` when a chain of moves leads from one to
+    the other, each taking one unit from a position i to a higher position j
+    through an admissible intermediate.  With both padded by 0s to a common
+    length n, that is: a != b and sum(a[m:]) <= sum(b[m:]) for m = 2 .. n-1.
+    The two forms agree on every ordered pair of multiplicity at most
+    ``PRECEDES_MAX_MULTIPLICITY``, checked exhaustively; past it the
+    agreement is unproven, so such queries are refused.  The genus is the
+    sum of those suffix sums, so the order refines it.
+    """
     a, b = tuple(h1), tuple(h2)
     if not (is_admissible(a) and is_admissible(b)):
         raise ValueError("precedes requires admissible O-sequences")
@@ -252,21 +238,16 @@ def precedes(h1, h2) -> bool:
         )
     if a == b:
         return False
-    # the order refines the genus, so prune paths that overshoot
-    target_genus = genus(b)
-    frontier = [a]
-    visited = {a}
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for succ in _order_successors(h):
-                if succ == b:
-                    return True
-                if succ not in visited and genus(succ) < target_genus:
-                    visited.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return False
+    n = max(len(a), len(b))
+    a += (0,) * (n - len(a))
+    b += (0,) * (n - len(b))
+    sa = sb = 0
+    for m in range(n - 1, 1, -1):
+        sa += a[m]
+        sb += b[m]
+        if sa > sb:
+            return False
+    return True
 
 
 def total_compare(h1, h2) -> int:

@@ -127,3 +127,51 @@ def independent_checker():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the partial order by its chain definition: the breadth-first search that
+# trees.precedes ran before its suffix-sum form
+
+
+@lru_cache(maxsize=None)
+def _order_successors(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Immediate successors of ``h`` in the genus-increasing order on one multiplicity.
+
+    ``h'`` is a successor when h = h0 + e_i, h' = h0 + e_j for an admissible
+    h0 and i < j; equivalently one unit moves from position i to a higher
+    position j through an admissible intermediate.
+    """
+    s = len(h)
+    out = set()
+    for i in range(1, s):
+        if i < s - 1 and h[i] == 1:
+            continue  # removing would leave a zero inside the sequence
+        h0 = h[:-1] if (i == s - 1 and h[i] == 1) else h[:i] + (h[i] - 1,) + h[i + 1:]
+        if not ag.is_admissible(h0):
+            continue
+        for j in range(i + 1, len(h0) + 1):
+            cand = h0 + (1,) if j == len(h0) else h0[:j] + (h0[j] + 1,) + h0[j + 1:]
+            if ag.is_admissible(cand):
+                out.add(cand)
+    return tuple(sorted(out))
+
+
+def reference_precedes(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True when a chain of one-unit moves leads from ``a`` to ``b`` (admissible, one multiplicity)."""
+    if a == b:
+        return False
+    # the order refines the genus, so prune paths that overshoot
+    target_genus = ag.genus(b)
+    frontier = [a]
+    visited = {a}
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for succ in _order_successors(h):
+                if succ == b:
+                    return True
+                if succ not in visited and ag.genus(succ) < target_genus:
+                    visited.add(succ)
+                    nxt.append(succ)
+        frontier = nxt
+    return False

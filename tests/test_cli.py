@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,9 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acmgenera import certain_genera, cli, m_sequence
+from acmgenera import acm_genera, certain_genera, clear_caches, cli, format_oseq, m_sequence
 from acmgenera._kernels import length_profile, search_fixed_both
+from acmgenera.ranges import closed_max_oseq
+from conftest import reference_sequences
 
 
 def run_cli(args, capsys):
@@ -157,6 +162,36 @@ def test_bench(capsys):
     assert "step3 searches" in out and "full visit:" in out
 
 
+def _stdout_of(args) -> str:
+    # capsys is per test, not per hypothesis example, so capture each run here
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(args) == 0, args
+    return out.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.data())
+def test_json_outputs_are_canonical_and_stable(data):
+    # each JSON output re-parses to itself with sorted keys, and a second
+    # run from cold caches prints the same bytes (bench's timings vary)
+    d = data.draw(st.integers(1, 14), label="d")
+    g = data.draw(st.sampled_from(acm_genera(d).genera.to_list()), label="g")
+    h = data.draw(st.sampled_from(reference_sequences(d)), label="h")
+    commands = [[cmd, str(d), "--format", "json"] for cmd in ("genera", "gaps", "ranges", "mseq", "bench")]
+    commands += [
+        ["min-reg", str(d), str(g), "--format", "json"],
+        ["hilbert", format_oseq(h), "--format", "json"],
+        ["enumerate", str(d), "--export", "json"],
+    ]
+    for args in commands:
+        out = _stdout_of(args)
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", args
+        if args[0] != "bench":
+            clear_caches()
+            assert _stdout_of(args) == out, args
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
@@ -204,11 +239,14 @@ def test_degree_budget_exits_3_within_seconds():
 
 
 def test_huge_entries_and_genera_above_the_range_answer_within_seconds():
-    # the expansion of 10^12 and the search above max_genus(200, 120) each
-    # ran for hours when they stepped one k at a time or walked the tree
+    # the expansion of 10^12 and the searches above max_genus(200, 120), at
+    # it and at its hole value 10180 each ran for hours when they stepped
+    # one k at a time or walked the tree
     for args, out in (
         (["hilbert", "1,1000000000000,5", "--format", "json"], '"h": "1,1000000000000,5"'),
         (["search", "200", "15000", "--length", "120"], "none"),
+        (["search", "200", "10181", "--length", "120"], format_oseq(closed_max_oseq(200, 120))),
+        (["search", "200", "10180", "--length", "120"], "none"),
     ):
         result = subprocess.run(
             [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=20

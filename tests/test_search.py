@@ -20,7 +20,7 @@ from acmgenera import (
 )
 from acmgenera._kernels import search_fixed_both
 from acmgenera import _kernels, ranges, trees
-from acmgenera.ranges import hole_window, max_genus, min_genus
+from acmgenera.ranges import closed_max_oseq, hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
 from conftest import independent_checker, reference_genera, reference_genera_by_length, reference_sequences
 
@@ -106,6 +106,29 @@ def test_genus_search_above_the_range_returns_none_without_a_walk(monkeypatch):
     for d, s in [(200, 120), (100, 54), (15, 6), (1, 1)]:
         assert genus_search(max_genus(d, s) + 1, TreeFamily.fixed_both(d, s)) is None, (d, s)
     assert genus_search(15000, TreeFamily.fixed_both(200, 120)) is None
+
+
+def test_genus_search_answers_a_long_length_top_and_holes_without_a_walk(monkeypatch):
+    # at a long length the top genus is attained by max_oseq(d, s) alone and
+    # no hole value is attained; walks for them visit nearly the whole tree
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(_kernels, "_search_impl", no_walk)
+    for d in range(1, 61):
+        for s in range(d // 2 + 1, d + 1):
+            family = TreeFamily.fixed_both(d, s)
+            assert genus_search(max_genus(d, s), family) == closed_max_oseq(d, s), (d, s)
+            for g in hole_window(d, s):
+                assert genus_search(g, family) is None, (d, s, g)
+
+
+def test_genus_search_long_length_top_is_the_walk_witness():
+    for d in range(1, 31):
+        for s in range(d // 2 + 1, d + 1):
+            top = max_genus(d, s)
+            walked = _kernels._search_impl(d, s, [top], _kernels.bound_table(d))[top]
+            assert genus_search(top, TreeFamily.fixed_both(d, s)) == walked, (d, s)
 
 
 def test_genus_search_at_a_long_length_builds_no_max_genus_row(monkeypatch):
@@ -305,7 +328,7 @@ def test_classification_confirmed_by_the_checker_past_the_oracle():
 
 @pytest.mark.slow
 def test_classification_confirmed_by_the_checker_audit():
-    _assert_checker_confirms(range(41, 201))
+    _assert_checker_confirms(range(41, 301))
 
 
 def test_cold_and_warm_runs_agree():

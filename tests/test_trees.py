@@ -20,7 +20,7 @@ from acmgenera import (
     total_compare,
 )
 from acmgenera import trees
-from conftest import reference_sequences
+from conftest import reference_precedes, reference_sequences
 
 FULL10 = TreeFamily.full(cap=10)
 
@@ -205,6 +205,39 @@ def test_precedes_refines_genus():
             for h2 in seqs:
                 if precedes(h1, h2):
                     assert genus(h1) < genus(h2), (h1, h2)
+
+
+def _assert_precedes_matches_the_chain_order(degrees):
+    for d in degrees:
+        seqs = reference_sequences(d)
+        for h1 in seqs:
+            for h2 in seqs:
+                assert precedes(h1, h2) == reference_precedes(h1, h2), (h1, h2)
+
+
+def test_precedes_is_the_chain_order():
+    # every ordered pair of equal multiplicity d <= 13 (26,330 pairs)
+    _assert_precedes_matches_the_chain_order(range(1, 14))
+
+
+@pytest.mark.slow
+def test_precedes_is_the_chain_order_audit():
+    _assert_precedes_matches_the_chain_order(range(14, 17))
+
+
+def test_precedes_refusals():
+    cases = [
+        (((1, 2, 4), (1, 3, 3)), "precedes requires admissible O-sequences"),
+        (((1, 3, 3), (1, 2, 4)), "precedes requires admissible O-sequences"),
+        (((1, 2), (1, 2, 1)), "precedes is only defined for equal multiplicities"),
+        (((1, 20), (1, 19, 1)), "precedes queries are limited to multiplicity <= 20"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            precedes(*args)
+        assert str(exc.value) == message, args
+    assert trees.PRECEDES_MAX_MULTIPLICITY == 20
+    assert precedes((1, 19), (1, 18, 1))  # the limit itself is answered
 
 
 def test_total_compare():
