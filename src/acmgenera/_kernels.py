@@ -1,13 +1,13 @@
 """Hot search kernels: one pruned tree walk, the exhaustive enumeration and
 the per-length genus profile.
 
-One depth-first walk searches the fixed-(d, s) tree; a fixed-multiplicity
-search is that walk at the lengths the degree's genus profile marks.  The
-walk and the exhaustive enumeration dominate the runtime of a degree
-classification.  Both are explicit-stack loops over plain lists, reading the
-growth bound from a per-degree table of
-:func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
-dynamic program reads the same table.
+One depth-first walk searches the fixed-(d, s) tree; :func:`length_witness`
+is the rule for one genus at one length, and a fixed-multiplicity search is
+that rule at the lengths the degree's genus profile marks.  The walk and the
+exhaustive enumeration dominate the runtime of a degree classification.
+Both are explicit-stack loops over plain lists, reading the growth bound
+from a per-degree table of :func:`acmgenera.macaulay.macaulay_bound`
+values; the genus profile's dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
 excess k = d - s (see :func:`search_fixed_both`).  The batch search walks
@@ -21,24 +21,12 @@ import threading
 from math import comb
 from typing import Iterator
 
-from .errors import BudgetError
+from .errors import BudgetError, _check_degree
+from .ranges import hole_window, max_genus, max_oseq
 
-# Memory grows about as d^3, and time faster, at every entry point.  At
-# d = 1000, on a 2-core x86_64 with Python 3.11.7, length_profile, the
-# largest, peaks at 268 MB resident in 16 s (151 MB at d = 800), and a cold
-# acm_genera at 97 MB in 46 s.
-MAX_DEGREE = 1000
 # The exhaustive enumeration visits every sequence, and their number grows
 # too fast for a complete visit past this degree.
 MAX_EXHAUSTIVE_DEGREE = 40
-
-
-def _check_degree(d: int):
-    """Refuse a degree below 1, or above the budget before anything is allocated."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if d > MAX_DEGREE:
-        raise BudgetError(f"degree {d} exceeds the degree budget (limit {MAX_DEGREE})")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +325,27 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     return {g: found[g + shift] + tail for g in tlist if g + shift in found}
 
 
+def length_witness(d: int, s: int, g: int):
+    """First vertex of genus ``g`` in the fixed-(d, s) tree's preorder, or None.
+
+    A genus above ``max_genus(d, s)`` or in the length's ``hole_window``
+    returns None, and at a long length, s >= d//2 + 1, the top genus returns
+    ``max_oseq(d, s)``, the only sequence with that genus: each of these
+    would otherwise walk nearly the whole tree.  Any other genus is looked
+    for alone by one walk, not through the per-excess table of
+    :func:`search_fixed_both`: a table is a walk of the whole canonical
+    tree, and near k = d/2 it grows past reach.  At (300, 268), k = 32, the
+    target at offset 100 took 1.0 ms directly and the whole table 42 ms
+    (2-core x86_64).
+    """
+    top = max_genus(d, s)
+    if g > top or g in hole_window(d, s):
+        return None
+    if g == top and s > d // 2:
+        return max_oseq(d, s)
+    return _search_impl(d, s, [g], bound_table(d)).get(g)
+
+
 def search_multiplicity(d: int, target: int):
     """First witness of ``target`` in the fixed-multiplicity tree's preorder, or None.
 
@@ -345,14 +354,13 @@ def search_multiplicity(d: int, target: int):
     two vertices of one genus the one met first in preorder has the
     lexicographically larger (h_2, h_3, ...), with missing entries read as
     0.  Every multiplicity-d sequence lies in exactly one fixed-(d, s) tree,
-    so the witness is the largest of the per-length witnesses over the
-    lengths whose profile holds the target.
+    so the witness is the largest of the per-length witnesses
+    (:func:`length_witness`) over the lengths whose profile holds the target.
     """
     _check_degree(d)
     g = int(target)
-    bounds = bound_table(d)
     return max(
-        (_search_impl(d, s, [g], bounds)[g] for s in _lengths_of(d, g)),
+        (length_witness(d, s, g) for s in _lengths_of(d, g)),
         key=lambda w: w[2:] + (0,) * (d - len(w)),
         default=None,
     )

@@ -13,7 +13,7 @@ from itertools import chain
 from math import comb
 from typing import Iterator
 
-from ._kernels import _check_degree
+from .errors import _check_degree
 
 
 class GenusSet:

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._kernels import MAX_DEGREE
-from .errors import BudgetError
+from .errors import MAX_DEGREE, BudgetError
 
 # hilbert_data tabulates at most this many values past t = 0
 MAX_TMAX = MAX_DEGREE**2

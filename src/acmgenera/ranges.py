@@ -26,8 +26,7 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from ._kernels import _check_degree
-from .errors import EmptyFamilyError
+from .errors import EmptyFamilyError, _check_degree
 from .macaulay import binomial, genus, macaulay_bound
 
 
@@ -249,9 +248,9 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     Combines the separated-range rule with the hole values that fall
     strictly below the next range's minimum.  The separated lengths form an
     upward-closed tail of 2..d-1, so the between-range intervals are also
-    exactly the integers covered by no range at all; the per-degree
-    invariant tests recompute that complement from the exact range endpoints
-    and check it stays inside this certificate set.
+    exactly the integers covered by no range at all; the tests hold this
+    set to a reference that computes that complement from the exact range
+    endpoints.
     """
     _check_degree(d)
     if d <= 2:
@@ -273,21 +272,6 @@ def certified_gaps(d: int) -> list[GapCertificate]:
             out.extend(map(_certificate, zip(range(top + 1, nxt), repeat("between-ranges"),
                                              repeat(s), repeat(None))))
     return out
-
-
-def range_complement(d: int) -> list[int]:
-    """Integers of [0, C(d-1,2)] inside no (d, s)-range, from exact endpoints.
-
-    Diagnostic counterpart of the closed-form between-range certificates.
-    """
-    uncovered: list[int] = []
-    reach = -1
-    for lo, hi in sorted((row.min_genus, row.max_genus) for row in range_table(d)):
-        if lo > reach + 1:
-            uncovered.extend(range(reach + 1, lo))
-        reach = max(reach, hi)
-    uncovered.extend(range(reach + 1, binomial(d - 1, 2) + 1))
-    return uncovered
 
 
 def clear_range_caches():

@@ -12,7 +12,8 @@ values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
 attains and which stay pending for the longer lengths.  Those searches go
 through :func:`~acmgenera._kernels.search_fixed_both`, whose per-excess
 table lets the classifications of a range of degrees share their walks at
-the long lengths; a single-genus search walks its tree directly.
+the long lengths; a single-genus search applies the per-length rule
+:func:`~acmgenera._kernels.length_witness`, which walks its tree directly.
 """
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ from functools import cached_property
 from math import comb
 from time import perf_counter
 
-from . import _kernels
+from . import _kernels, ranges
 from .continuity import GenusSet, certain_genera
+from .errors import _check_degree
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, hole_window, max_genus, max_oseq, min_genus
+from .ranges import GapCertificate, certified_gaps, max_genus, min_genus
 from .trees import TreeFamily, _walk
 
 
@@ -33,17 +35,9 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-(d, s) family a genus above ``max_genus(d, s)`` or in the
-    length's :func:`~acmgenera.ranges.hole_window` returns None without a
-    walk, which would otherwise visit the whole tree below it; at a long
-    length, ``s >= d//2 + 1``, the top genus returns ``max_oseq(d, s)``,
-    the only sequence with that genus and so the walk's witness.  Any
-    other genus is looked for alone by one walk, not through the batch
-    search's per-excess table: a table is a walk of the whole canonical
-    tree, and near k = d/2 it grows past reach.  At (300, 268), k = 32, the
-    target at offset 100 took 1.0 ms directly and the whole table 42 ms
-    (2-core x86_64).  On the fixed-multiplicity family the search reads the
-    degree's per-length genus profile itself
+    On the fixed-(d, s) family the answer is the per-length rule
+    :func:`~acmgenera._kernels.length_witness`; on the fixed-multiplicity
+    family it is that rule at each length whose genus profile holds ``g``
     (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
     returns None without a walk.  On the capped families the family's own
     walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
@@ -52,13 +46,7 @@ def genus_search(g: int, family: TreeFamily):
     if g < 0:
         raise ValueError("genus must be non-negative")
     if family.kind == "both":
-        d, s = family.d, family.s
-        top = max_genus(d, s)
-        if g > top or g in hole_window(d, s):
-            return None
-        if g == top and s > d // 2:
-            return max_oseq(d, s)
-        return _kernels._search_impl(d, s, [g], _kernels.bound_table(d)).get(g)
+        return _kernels.length_witness(family.d, family.s, g)
     if family.kind == "multiplicity":
         return _kernels.search_multiplicity(family.d, g)
     # capped infinite families: generic walk; genus can stay flat along
@@ -160,7 +148,7 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
     """
-    _kernels._check_degree(d)
+    _check_degree(d)
     t0 = perf_counter()
     certain = certain_genera(d)
     t1 = perf_counter()
@@ -185,7 +173,7 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
         if not pending:
             break
         targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
-        holes = hole_window(d, s)  # never attained at length s; they stay pending
+        holes = ranges.hole_window(d, s)  # never attained at length s; they stay pending
         targets &= ~(((1 << len(holes)) - 1) << holes.start)
         if targets:
             hits = _kernels.search_fixed_both(d, s, _set_bits(targets))

@@ -119,14 +119,40 @@ def reference_certified_gaps(d: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def independent_checker():
-    """perfbench/checker.py, which imports nothing from acmgenera, loaded read-only."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
-    spec = importlib.util.spec_from_file_location("_independent_checker", path)
+def range_complement(d: int) -> list[int]:
+    """Integers of [0, C(d-1,2)] inside no (d, s)-range, from exact endpoints.
+
+    The reference for the closed-form between-range certificates.
+    """
+    uncovered: list[int] = []
+    reach = -1
+    for lo, hi in sorted((row.min_genus, row.max_genus) for row in ag.range_table(d)):
+        if lo > reach + 1:
+            uncovered.extend(range(reach + 1, lo))
+        reach = max(reach, hi)
+    uncovered.extend(range(reach + 1, ag.binomial(d - 1, 2) + 1))
+    return uncovered
+
+
+def _load_perfbench(name: str):
+    """perfbench/<name>.py, loaded read-only as a module of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@lru_cache(maxsize=None)
+def independent_checker():
+    """perfbench/checker.py, which imports nothing from acmgenera, loaded read-only."""
+    return _load_perfbench("checker")
+
+
+@lru_cache(maxsize=None)
+def benchmark_tracer():
+    """perfbench/tracer.py, loaded read-only; its TARGETS name the attributes it wraps."""
+    return _load_perfbench("tracer")
 
 
 # the partial order by its chain definition: the breadth-first search that

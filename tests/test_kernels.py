@@ -20,7 +20,7 @@ from acmgenera import (
     min_acm_regularity,
     range_table,
 )
-from acmgenera import _kernels
+from acmgenera import _kernels, errors
 from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
 from conftest import pascal_bound
 
@@ -108,6 +108,31 @@ def test_search_multiplicity_first_preorder_witness_audit():
     _assert_multiplicity_witnesses_are_first_in_preorder(range(23, 37))
 
 
+def test_search_multiplicity_answers_a_long_length_top_genus_without_walking_it(monkeypatch):
+    # at s >= d//2 + 1 the top genus is max_oseq(d, s)'s alone, and a walk for
+    # it visits nearly the whole (d, s) tree; the other lengths still walk
+    walk = _kernels._search_impl
+    walked = []
+
+    def recording(d, s, targets, bounds):
+        walked.append((d, s))
+        return walk(d, s, targets, bounds)
+
+    monkeypatch.setattr(_kernels, "_search_impl", recording)
+    for d in range(3, 41):
+        bounds = bound_table(d)
+        for s in range(d // 2 + 1, d + 1):
+            g = max_genus(d, s)
+            walked.clear()
+            got = genus_search(g, TreeFamily.fixed_multiplicity(d))
+            assert (d, s) not in walked, (d, s)
+            expected = max(
+                (walk(d, t, [g], bounds)[g] for t in _kernels._lengths_of(d, g)),
+                key=lambda w: w[2:] + (0,) * (d - len(w)),
+            )
+            assert got == expected, (d, s)
+
+
 def test_search_fixed_both_returns_first_preorder_witness_of_every_genus():
     for d in range(3, 19):
         targets = range(comb(d - 1, 2) + 1)
@@ -181,7 +206,7 @@ def test_search_fixed_both_at_length_one():
 
 
 def test_degree_budget_refuses_every_entry_point_before_allocating():
-    limit = _kernels.MAX_DEGREE
+    limit = errors.MAX_DEGREE
     over = limit + 1
     calls = [
         lambda: acm_genera(over),
@@ -195,6 +220,8 @@ def test_degree_budget_refuses_every_entry_point_before_allocating():
         lambda: _kernels.shortest_length(over, 0),
         lambda: search_fixed_both(over, 2, [0]),
         lambda: _kernels.search_multiplicity(over, 1),
+        lambda: _kernels.length_witness(over, 2, 0),
+        lambda: _kernels.length_witness(over, over, 0),
         lambda: genus_search(0, TreeFamily.fixed_multiplicity(over)),
         lambda: min_acm_regularity(over, 0),
         lambda: range_table(over),

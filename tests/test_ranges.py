@@ -25,10 +25,14 @@ from acmgenera.ranges import (
     closed_max_genus,
     closed_max_oseq,
     hole_window,
-    range_complement,
 )
 from acmgenera.search import brute_force_genera, brute_force_length_profile
-from conftest import reference_certified_gaps, reference_genera_by_length, reference_sequences
+from conftest import (
+    range_complement,
+    reference_certified_gaps,
+    reference_genera_by_length,
+    reference_sequences,
+)
 
 
 def test_min_genus():
