@@ -8,9 +8,7 @@ inadmissible input, oracle mismatch), 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import sys
 from math import comb
 from time import perf_counter
@@ -39,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(obj):
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -72,6 +72,8 @@ def _cmd_genera(args) -> int:
             payload["oracle"] = "ok"
         _emit_json(payload)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["value", "status", "provenance", "witness"])
         for value in range(comb(args.d - 1, 2) + 1):

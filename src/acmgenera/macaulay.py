@@ -10,8 +10,8 @@ All arithmetic is exact (Python integers), so no overflow is possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import MAX_DEGREE, BudgetError
 
@@ -23,8 +23,7 @@ MAX_TMAX = MAX_DEGREE**2
 binomial = math.comb
 
 
-@dataclass(frozen=True)
-class BinomialExpansion:
+class BinomialExpansion(NamedTuple):
     """The unique greedy expansion of ``top`` as a sum of binomials in base ``base``.
 
     ``terms`` is a tuple of pairs ``(k, i)`` with ``i`` descending from
@@ -123,8 +122,7 @@ def genus(h) -> int:
     return sum((j - 1) * h[j] for j in range(2, len(h)))
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Hilbert function data of an aCM curve with a given h-vector.
 
     ``zero_dim`` is the running sum of the h-vector, ``curve`` its second

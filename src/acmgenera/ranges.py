@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -150,8 +149,7 @@ def closed_max_oseq(d: int, s: int) -> tuple[int, ...]:
     return (1,) + (2,) * (d - s) + (1,) * (2 * s - d - 1)
 
 
-@dataclass(frozen=True)
-class GenusRange:
+class GenusRange(NamedTuple):
     """One (d, s)-range with its extreme genera and their witnesses."""
 
     d: int

@@ -10,8 +10,8 @@ length, for the witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import UnattainableGenusError
@@ -20,8 +20,7 @@ from .search import genus_search
 from .trees import TreeFamily
 
 
-@dataclass(frozen=True)
-class RegularityAnswer:
+class RegularityAnswer(NamedTuple):
     d: int
     g: int
     min_regularity: int  # length of the shortest witness

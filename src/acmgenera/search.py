@@ -17,10 +17,10 @@ the long lengths; a single-genus search applies the per-length rule
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from bisect import bisect_left
 from math import comb
 from time import perf_counter
+from typing import NamedTuple
 
 from . import _kernels, ranges
 from .continuity import GenusSet, certain_genera
@@ -85,23 +85,18 @@ def count_osequences(d: int) -> int:
     return _kernels.brute_force_attained(d)[1]
 
 
-@dataclass
-class DegreeClassification:
+class DegreeClassification(NamedTuple):
     """Full partition of [0, C(d-1,2)] into genera and gaps for one degree."""
 
     d: int
     genera: GenusSet
-    gaps: list[GapCertificate]
+    gaps: list[GapCertificate]  # sorted by value; provenance_of bisects it
     witnesses: dict[int, tuple[int, ...]]
     certain: GenusSet  # step-1 subset of genera
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, int]
 
     def gap_values(self) -> list[int]:
         return [c.value for c in self.gaps]
-
-    @cached_property
-    def _gap_reasons(self) -> dict[int, str]:
-        return {c.value: c.reason for c in self.gaps}
 
     def provenance_of(self, value: int) -> str:
         """One of step1, step2, searched, post-loop (the last two are step 3).
@@ -112,10 +107,10 @@ class DegreeClassification:
             return "step1"
         if value in self.witnesses:
             return "searched"
-        reason = self._gap_reasons.get(value)
-        if reason is None:
+        i = bisect_left(self.gaps, value, key=lambda c: c.value)
+        if i == len(self.gaps) or self.gaps[i].value != value:
             raise ValueError(f"value {value} outside [0, C({self.d}-1,2)]")
-        return "step2" if reason != "searched" else "post-loop"
+        return "step2" if self.gaps[i].reason != "searched" else "post-loop"
 
 
 def _set_bits(bits: int) -> list[int]:

@@ -23,8 +23,7 @@ by the raised position, so depth-first traversal order is deterministic.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional
 
 from .errors import BudgetError, EmptyFamilyError, MembershipError
@@ -36,20 +35,20 @@ DEFAULT_NODE_BUDGET = 10_000_000
 _FIELDS = {"full": ("cap",), "length": ("s", "cap"), "multiplicity": ("d",), "both": ("d", "s")}
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(namedtuple("TreeFamily", "kind s d cap")):
     """Selector for one of the four spanning trees.
 
-    ``cap`` bounds the multiplicity of the vertices for the two infinite
-    families; constructing those without a cap is refused.
+    ``kind`` is "full", "length", "multiplicity" or "both".  ``cap`` bounds
+    the multiplicity of the vertices for the two infinite families;
+    constructing those without a cap is refused.
     """
 
-    kind: str  # "full" | "length" | "multiplicity" | "both"
-    s: Optional[int] = None
-    d: Optional[int] = None
-    cap: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, kind: str, s: Optional[int] = None, d: Optional[int] = None, cap: Optional[int] = None
+    ):
+        self = super().__new__(cls, kind, s, d, cap)
         # the step rule reads s, d and cap, so a field the kind does not take is refused
         used = _FIELDS.get(self.kind)
         if used is None:
@@ -73,6 +72,12 @@ class TreeFamily:
                 )
             if self.s == 1 and self.d > 1:
                 raise EmptyFamilyError(f"no O-sequence of length 1 has multiplicity {self.d}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TreeFamily":
+        # namedtuple's own _make, which _replace calls, would skip the checks above
+        return cls(*iterable)
 
     @classmethod
     def full(cls, cap: int) -> "TreeFamily":
@@ -268,5 +273,7 @@ def export_tree(family: TreeFamily, fmt: str):
     if fmt == "dot":
         return export_dot(family)
     if fmt == "json":
+        import json
+
         return json.dumps(export_json(family), sort_keys=True)
     raise ValueError(f"unknown export format {fmt!r}")

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,9 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmgenera import acm_genera, certain_genera, clear_caches, cli, format_oseq, m_sequence
+import acmgenera
+from acmgenera import (
+    TreeFamily,
+    acm_genera,
+    certain_genera,
+    clear_caches,
+    cli,
+    expand,
+    format_oseq,
+    hilbert_data,
+    m_sequence,
+    min_acm_regularity,
+)
 from acmgenera._kernels import length_profile, search_fixed_both
-from acmgenera.ranges import closed_max_oseq
+from acmgenera.ranges import closed_max_oseq, genus_range
 from conftest import reference_sequences
 
 
@@ -302,3 +315,74 @@ def test_import_loads_neither_numpy_nor_numba():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_module_that_start_up_does_not_need():
+    # dataclasses (with inspect, ast and dis) cost about a third of a process's
+    # import time; csv and json are imported by the commands that write them
+    src = os.path.dirname(os.path.dirname(acmgenera.__file__))
+    code = "import sys, acmgenera.cli; print(sorted({'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+_D7_REPR = (
+    "DegreeClassification(d=7, genera=GenusSet(d=7, n=10), gaps=["
+    + ", ".join(
+        f"GapCertificate(value={v}, reason='between-ranges', s={s}, i=None)"
+        for v, s in ((8, 5), (9, 5), (11, 6), (12, 6), (13, 6), (14, 6))
+    )
+    + "], witnesses={5: (1, 2, 3, 1)}, certain=GenusSet(d=7, n=9), "
+    "stats={'certain_genera': 9, 'certain_gaps': 6, 'searched': 1})"
+)
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: expand(10, 3), "BinomialExpansion(top=10, base=3, terms=((5, 3),))"),
+        (
+            lambda: hilbert_data((1, 2, 1), 3),
+            "HilbertData(h_vector=(1, 2, 1), zero_dim=(1, 3, 4, 4), curve=(1, 4, 8, 12), polynomial=(4, 0))",
+        ),
+        (
+            lambda: genus_range(7, 3),
+            "GenusRange(d=7, s=3, min_genus=1, max_genus=3, min_witness=(1, 5, 1), "
+            "max_witness=(1, 3, 3), separated=False)",
+        ),
+        (
+            lambda: min_acm_regularity(15, 32),
+            "RegularityAnswer(d=15, g=32, min_regularity=8, witness=(1, 2, 3, 4, 2, 1, 1, 1), "
+            "postulation_regularity=6)",
+        ),
+        # d = 7 has a witness; two classifications compare by value, which an
+        # identity-equal class would break
+        (lambda: acm_genera(7), _D7_REPR),
+        (lambda: TreeFamily.fixed_both(5, 3), "TreeFamily(kind='both', s=3, d=5, cap=None)"),
+        (lambda: TreeFamily.full(4), "TreeFamily(kind='full', s=None, d=None, cap=4)"),
+    ],
+    ids=[
+        "BinomialExpansion",
+        "HilbertData",
+        "GenusRange",
+        "RegularityAnswer",
+        "DegreeClassification",
+        "TreeFamily-both",
+        "TreeFamily-full",
+    ],
+)
+def test_result_types_keep_their_repr_equality_and_immutability(make, text):
+    value = make()
+    # the text is embedded in error messages, such as MembershipError's family
+    assert repr(value) == text
+    assert make() == value
+    first_field = text[text.index("(") + 1 : text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(value, first_field, None)
+    with pytest.raises(AttributeError):
+        value.note = None
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is type(value) and restored == value

@@ -54,6 +54,8 @@ def test_fields_a_kind_does_not_take_refused():
         TreeFamily("full", s=3, cap=5)
     with pytest.raises(ValueError, match="both family takes no cap"):
         TreeFamily("both", d=7, s=4, cap=5)
+    with pytest.raises(ValueError, match="both family takes no cap"):
+        TreeFamily.fixed_both(7, 4)._replace(cap=5)
     with pytest.raises(ValueError, match="unknown family kind"):
         TreeFamily("fixed", d=5)
 
