@@ -53,10 +53,11 @@ def _classification_json(cls):
 
 
 def _cmd_genera(args) -> int:
+    # the oracle runs first, so a degree past its budget exits 3 before classifying
+    reference = brute_force_genera(args.d) if args.oracle else None
     cls = acm_genera(args.d)
     oracle_ok = None
     if args.oracle:
-        reference = brute_force_genera(args.d)
         oracle_ok = reference == cls.genera
         if not oracle_ok:
             onlyref = sorted(set(reference) - set(cls.genera))

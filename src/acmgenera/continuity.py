@@ -3,6 +3,12 @@
 Shifting the genera of a smaller degree ``j`` up by ``C(d-j,2)`` lands inside
 the genera of degree ``d``, so a large "certain" subset of the genera can be
 accumulated bottom-up with shifted bitmask unions and no enumeration at all.
+That subset is the set of sums of ``C(k,2)`` over the parts ``k`` of the
+partitions of ``d-1``, and it is built by the largest part: a part ``k``
+above ``K = (d-1)//2`` adds ``C(k,2)`` to a value of degree ``d-k``, and
+every partition with all parts at most ``K`` has a value of at most
+``K(K-1)``, which from ``d = 32`` on lies in the set's all-ones prefix.  So
+a degree reads only the degrees up to ``d//2``.
 The threshold ``m_d`` is the largest value such that 0..m_d is guaranteed
 covered by that recursion.
 """
@@ -64,39 +70,32 @@ class GenusSet:
         return GenusSet(self.d, self.bits)
 
 
-_mask_cache: list[int] = [0, 1]  # _mask_cache[m] = certain-genera bits for degree m
+_mask_cache: dict[int, int] = {}  # _mask_cache[m] = certain-genera bits for degree m
 _mask_lock = threading.Lock()
 
 
-def _certain_masks(d: int) -> list[int]:
-    tri = [k * (k - 1) // 2 for k in range(d + 1)]  # tri[k] = C(k, 2)
+def _certain_mask(d: int) -> int:
     with _mask_lock:
         cache = _mask_cache
-        for m in range(len(cache), d + 1):
-            # mask[m] is the union of mask[i] << C(m-i, 2) for 1 <= i < m, so it
-            # holds mask[m-1] (i = m-1, C(1,2) = 0) and with it that mask's
-            # all-ones prefix 0..p-1.  Only the bits from p up are built, and a
-            # term whose top bit C(i-1,2) + C(m-i,2) lies below p adds nothing;
-            # that top is convex in i, so the skipped terms are one middle band.
-            prev = cache[m - 1]
-            p = (prev ^ (prev + 1)).bit_length() - 1
-            high = prev >> p
-            lo, hi = 1, m - 2
-            while lo <= hi and tri[lo - 1] + tri[m - lo] >= p:
-                lo += 1
-            while hi >= lo and tri[hi - 1] + tri[m - hi] >= p:
-                hi -= 1
-            for i in chain(range(1, lo), range(hi + 1, m - 1)):
-                t = tri[m - i]
-                high |= cache[i] << (t - p) if t >= p else cache[i] >> (p - t)
-            cache.append(high << p | ((1 << p) - 1))
-        return cache[: d + 1]
+        # by the largest part (module docstring): from degree 32 on, mask[m]
+        # reads only the degrees up to m // 2.  That the parts up to K fill
+        # 0..K(K-1) is checked at every degree up to MAX_DEGREE, and fails
+        # at 31; below 32, K = 0 is the plain recursion
+        for m in chain(range(1, d // 2 + 1 if d >= 32 else d), (d,)):
+            if m in cache:
+                continue
+            K = (m - 1) // 2 if m >= 32 else 0
+            bits = (1 << K * (K - 1) + 1) - 1
+            for k in range(K + 1, m):
+                bits |= cache[m - k] << k * (k - 1) // 2
+            cache[m] = bits
+        return cache[d]
 
 
 def certain_genera(d: int) -> GenusSet:
     """Genera of degree ``d`` certified by the shifted-union recursion alone."""
     _check_degree(d)
-    return GenusSet(d, _certain_masks(d)[d])
+    return GenusSet(d, _certain_mask(d))
 
 
 def m_sequence(dmax: int) -> list[int]:
@@ -129,4 +128,4 @@ def continuity_prefix(d: int) -> GenusSet:
 
 def clear_continuity_caches():
     with _mask_lock:
-        del _mask_cache[2:]
+        _mask_cache.clear()

@@ -138,7 +138,11 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     fixed-(d, s) tree, and its hits are genera.  The search skips the hole
     values of length s (:func:`~acmgenera.ranges.hole_window`): no length-s
     sequence has them, so they stay pending for the longer lengths, and no
-    result changes.  The walk stops once nothing is pending.
+    result changes.  A length whose genus ceiling ``C(s-1,2) + (s-2)(d-s)``
+    lies below every pending value holds no target and is skipped before its
+    ``max_genus`` is read: the genus is ``C(s-1,2)`` plus at most ``s-2``
+    for each of the ``d-s`` units above the all-ones sequence.  The walk
+    stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -167,6 +171,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
         pending &= -1 << min_genus(s)
         if not pending:
             break
+        if comb(s - 1, 2) + (s - 2) * (d - s) < (pending & -pending).bit_length() - 1:
+            continue
         targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
         holes = ranges.hole_window(d, s)  # never attained at length s; they stay pending
         targets &= ~(((1 << len(holes)) - 1) << holes.start)

@@ -73,6 +73,16 @@ def test_genera_oracle_budget(capsys):
     assert "budget" in err
 
 
+def test_genera_oracle_budget_refused_before_classifying(capsys, monkeypatch):
+    def classify(d):
+        raise AssertionError(f"classified d={d} before the oracle's budget check")
+
+    monkeypatch.setattr(cli, "acm_genera", classify)
+    code, _, err = run_cli(["genera", "41", "--oracle"], capsys)
+    assert code == 3
+    assert err == "budget exceeded: exhaustive generation for d=41 exceeds the budget (limit 40)\n"
+
+
 def test_gaps(capsys):
     code, out, _ = run_cli(["gaps", "12", "--format", "json"], capsys)
     assert code == 0

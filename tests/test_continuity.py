@@ -3,7 +3,7 @@ import random
 import pytest
 
 from acmgenera import GenusSet, binomial, certain_genera, clear_caches, continuity_prefix, m_sequence
-from acmgenera.continuity import _certain_masks
+from acmgenera.errors import MAX_DEGREE
 from acmgenera.search import brute_force_genera
 from conftest import reference_certain_masks
 
@@ -96,10 +96,21 @@ def test_prefix_inside_certain_genera():
 
 
 def test_certain_masks_equal_the_plain_recursion():
-    expected = reference_certain_masks(200)
+    expected = reference_certain_masks(300)
+    for order in ("ascending", "descending", "cold"):
+        clear_caches()
+        for d in range(300, 0, -1) if order == "descending" else range(1, 301):
+            if order == "cold":  # the cache holds only the degrees one request read
+                clear_caches()
+            assert certain_genera(d).bits == expected[d], (order, d)
+
+
+@pytest.mark.slow
+def test_certain_masks_equal_the_plain_recursion_up_to_the_degree_budget():
+    # from d = 32 on, certain_genera builds only the partitions' largest
+    # parts above (d-1)//2 and takes the values below as one all-ones prefix;
+    # this checks that prefix at every supported degree
+    expected = reference_certain_masks(MAX_DEGREE)
     clear_caches()
-    assert _certain_masks(200) == expected
-    # built in several steps, each resuming where the cache stopped
-    clear_caches()
-    for d in (3, 17, 60, 61, 200):
-        assert _certain_masks(d) == expected[: d + 1], d
+    for d in range(1, MAX_DEGREE + 1):
+        assert certain_genera(d).bits == expected[d], d

@@ -289,6 +289,15 @@ def test_step3_sends_no_hole_value_to_its_length(monkeypatch):
                for s in range(2, d + 1))
 
 
+def test_step3_skips_the_lengths_below_every_pending_value():
+    # a length-s sequence has genus at most C(s-1,2) + (s-2)(d-s); at d = 300
+    # that lies below the lowest pending value at every length s <= d//2, the
+    # only lengths whose max_genus builds a row
+    clear_caches()
+    acm_genera(300)
+    assert not ranges._max_rows
+
+
 def test_stats_partition_range():
     for d in range(1, 61):
         cls = acm_genera(d)
