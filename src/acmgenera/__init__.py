@@ -1,5 +1,6 @@
 """Exact classification of aCM-curve genera by degree, via finite O-sequences."""
 
+from . import _kernels, continuity, ranges
 from .continuity import GenusSet, certain_genera, continuity_prefix, m_sequence
 from .errors import BudgetError, EmptyFamilyError, MembershipError, UnattainableGenusError
 from .macaulay import (
@@ -52,20 +53,32 @@ from .trees import (
 __version__ = "0.1.0"
 
 
+# every memo in the package, one functools cache each, bound at import time:
+# perfbench's tracer swaps some module attributes for wrappers without cache_clear
+_MEMOS = (
+    macaulay_bound,
+    _kernels.bound_table,
+    _kernels._profile,
+    _kernels._excess_witnesses,
+    ranges._row,
+    continuity._certain_mask,
+)
+
+
 def clear_caches():
-    """Drop every in-memory memo (bound tables, genus profiles, range rows, degree recursion).
+    """Drop every in-memory memo, the caches in ``_MEMOS``.
 
-    This lets a benchmark time cold computations after a warm-up run.
+    They are ``macaulay_bound``; by degree, the bound tables
+    (``_kernels.bound_table``), the per-length genus profiles
+    (``_kernels._profile``) and the certain genera
+    (``continuity._certain_mask``); by excess, the witness tables of the
+    long lengths (``_kernels._excess_witnesses``); and by length, the rows
+    of genus-maximal sequences (``ranges._row``).  This lets a benchmark
+    time cold computations after a warm-up run.
     """
-    from . import _kernels as _k
-    from . import continuity as _c
-    from . import macaulay as _m
-    from . import ranges as _r
+    for memo in _MEMOS:
+        memo.cache_clear()
 
-    _m.macaulay_bound.cache_clear()
-    _r.clear_range_caches()
-    _c.clear_continuity_caches()
-    _k.clear_kernel_caches()
 
 __all__ = [
     "BinomialExpansion",

@@ -18,6 +18,7 @@ its answers do not depend on which requests came before.
 from __future__ import annotations
 
 import threading
+from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -228,13 +229,7 @@ def _length_profile_impl(d, bounds):
 # ---------------------------------------------------------------------------
 # entry points
 
-_table_cache: dict[int, list[list[int]]] = {}
-_profile_cache: dict[int, tuple[list[int], Iterator[int]]] = {}
-# excess k -> {genus: witness} over the whole canonical tree (2k + 1, k + 1)
-_excess_cache: dict[int, dict[int, tuple[int, ...]]] = {}
-_cache_lock = threading.Lock()
-
-
+@cache
 def bound_table(d: int) -> list[list[int]]:
     """tab[t][a] = macaulay_bound(a, t) for 1 <= t < d and a + t <= d.
 
@@ -249,43 +244,34 @@ def bound_table(d: int) -> list[list[int]]:
     k only grows with a, so each entry costs one addition.
     """
     _check_degree(d)
-    with _cache_lock:
-        tab = _table_cache.get(d)
-        if tab is None:
-            tab = [[], [a * (a + 1) // 2 for a in range(d)]][:d]  # no rows at d = 1
-            for t in range(2, d):
-                prev = tab[t - 1]
-                row = [0]
-                k, low, high, shifted = t, 1, t + 1, 1  # C(k,t), C(k+1,t), C(k+1,t+1)
-                for a in range(1, d + 1 - t):
-                    if a == high:
-                        k += 1
-                        low, high, shifted = high, comb(k + 1, t), comb(k + 1, t + 1)
-                    row.append(shifted + prev[a - low])
-                tab.append(row)
-            _table_cache[d] = tab
-        return tab
+    tab = [[], [a * (a + 1) // 2 for a in range(d)]][:d]  # no rows at d = 1
+    for t in range(2, d):
+        prev = tab[t - 1]
+        row = [0]
+        k, low, high, shifted = t, 1, t + 1, 1  # C(k,t), C(k+1,t), C(k+1,t+1)
+        for a in range(1, d + 1 - t):
+            if a == high:
+                k += 1
+                low, high, shifted = high, comb(k + 1, t), comb(k + 1, t + 1)
+            row.append(shifted + prev[a - low])
+        tab.append(row)
+    return tab
 
 
+@cache
 def _excess_witnesses(k: int) -> dict[int, tuple[int, ...]]:
     """Every genus of the canonical tree (2k + 1, k + 1), with its witness.
 
     The first request for k walks that tree once over its whole genus
-    range, C(k,2) .. 2 C(k,2), outside the lock; the table is kept until
-    :func:`clear_kernel_caches`, so every later request is a lookup.  A
+    range, C(k,2) .. 2 C(k,2); the table is kept until
+    :func:`acmgenera.clear_caches`, so every later request is a lookup.  A
     whole walk grows about 1.3-fold per step of k (42 ms at k = 32, 0.82 s
     at 44, 2-core x86_64).  A walk of the requested genera alone visits most
     of the tree too, so whole walks make a cold ``acm_genera(d)`` only 4-15%
     slower (d = 50..1000; 46 s against 41 s at 1000) and a sweep 1/3 faster.
     """
-    with _cache_lock:
-        found = _excess_cache.get(k)
-    if found is None:
-        base = comb(k, 2)
-        found = _search_impl(2 * k + 1, k + 1, range(base, 2 * base + 1), bound_table(2 * k + 1))
-        with _cache_lock:
-            found = _excess_cache.setdefault(k, found)
-    return found
+    base = comb(k, 2)
+    return _search_impl(2 * k + 1, k + 1, range(base, 2 * base + 1), bound_table(2 * k + 1))
 
 
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
@@ -376,6 +362,12 @@ def brute_force_attained(d: int) -> tuple[list[int], int]:
     return _brute_force_impl(d, bound_table(d))
 
 
+@cache
+def _profile(d: int) -> tuple[list[int], Iterator[int], threading.Lock]:
+    """Degree d's genus profile so far: (masks, the layers still to run, their lock)."""
+    return [], _length_profile_impl(d, bound_table(d)), threading.Lock()
+
+
 def _profile_prefix(d: int, s: int) -> list[int]:
     """Degree d's cached genus profile, final through masks[s] (all d + 1 masks once s >= d).
 
@@ -383,13 +375,8 @@ def _profile_prefix(d: int, s: int) -> list[int]:
     previous call stopped, so a query answered at a short length never pays
     for the long ones.
     """
-    entry = _profile_cache.get(d)
-    if entry is None:
-        bounds = bound_table(d)  # outside the lock, which bound_table takes
-        with _cache_lock:
-            entry = _profile_cache.setdefault(d, ([], _length_profile_impl(d, bounds)))
-    masks, layers = entry
-    with _cache_lock:
+    masks, layers, lock = _profile(d)
+    with lock:
         while len(masks) <= s:
             m = next(layers, None)
             if m is None:
@@ -426,10 +413,3 @@ def shortest_length(d: int, g: int):
     """Least s such that some multiplicity-d O-sequence of length s has genus g, or None."""
     _check_degree(d)
     return next(_lengths_of(d, g), None)
-
-
-def clear_kernel_caches():
-    with _cache_lock:
-        _table_cache.clear()
-        _profile_cache.clear()
-        _excess_cache.clear()

@@ -14,8 +14,7 @@ covered by that recursion.
 """
 from __future__ import annotations
 
-import threading
-from itertools import chain
+from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -70,26 +69,22 @@ class GenusSet:
         return GenusSet(self.d, self.bits)
 
 
-_mask_cache: dict[int, int] = {}  # _mask_cache[m] = certain-genera bits for degree m
-_mask_lock = threading.Lock()
-
-
+@cache
 def _certain_mask(d: int) -> int:
-    with _mask_lock:
-        cache = _mask_cache
-        # by the largest part (module docstring): from degree 32 on, mask[m]
-        # reads only the degrees up to m // 2.  That the parts up to K fill
-        # 0..K(K-1) is checked at every degree up to MAX_DEGREE, and fails
-        # at 31; below 32, K = 0 is the plain recursion
-        for m in chain(range(1, d // 2 + 1 if d >= 32 else d), (d,)):
-            if m in cache:
-                continue
-            K = (m - 1) // 2 if m >= 32 else 0
-            bits = (1 << K * (K - 1) + 1) - 1
-            for k in range(K + 1, m):
-                bits |= cache[m - k] << k * (k - 1) // 2
-            cache[m] = bits
-        return cache[d]
+    """Certain-genera bits of degree ``d``, by the largest part (module docstring).
+
+    From degree 32 on, the mask reads only the degrees up to d // 2.  That
+    the parts up to K fill 0..K(K-1) is checked at every degree up to
+    MAX_DEGREE, and fails at 31; below 32, K = 0 is the plain recursion.
+    The recursion is at most about 40 calls deep at MAX_DEGREE.
+    """
+    K = (d - 1) // 2 if d >= 32 else 0
+    bits = (1 << K * (K - 1) + 1) - 1
+    shift = K * (K + 1) // 2  # C(k, 2) at k = K + 1
+    for k in range(K + 1, d):
+        bits |= _certain_mask(d - k) << shift
+        shift += k
+    return bits
 
 
 def certain_genera(d: int) -> GenusSet:
@@ -124,8 +119,3 @@ def continuity_prefix(d: int) -> GenusSet:
     """The guaranteed prefix {0, ..., m_d} of the genera of degree ``d``."""
     md = m_sequence(d)[-1]
     return GenusSet(d, (1 << (md + 1)) - 1)
-
-
-def clear_continuity_caches():
-    with _mask_lock:
-        _mask_cache.clear()

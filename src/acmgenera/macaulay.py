@@ -10,7 +10,7 @@ All arithmetic is exact (Python integers), so no overflow is possible.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 from .errors import MAX_DEGREE, BudgetError
@@ -65,7 +65,7 @@ def expand(a: int, t: int) -> BinomialExpansion:
     return BinomialExpansion(a, t, tuple(terms))
 
 
-@lru_cache(maxsize=None)
+@cache
 def macaulay_bound(a: int, t: int) -> int:
     """Largest admissible value after ``a`` in position ``t``.
 

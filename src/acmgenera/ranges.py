@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -53,16 +53,18 @@ class _MaxRow:
     ``steps[m - s - 1]`` is the position incremented to go from multiplicity
     m - 1 to m, and ``genera[m - s]`` is the genus at multiplicity m.  ``h``
     is the sequence at the last multiplicity reached and ``last`` the highest
-    index holding an entry >= 2 (0 while there is none).
+    index holding an entry >= 2 (0 while there is none).  ``lock`` guards
+    :meth:`extend_to`.
     """
 
-    __slots__ = ("h", "steps", "genera", "last")
+    __slots__ = ("h", "steps", "genera", "last", "lock")
 
     def __init__(self, s: int):
         self.h = [1] * s
         self.steps: list[int] = []
         self.genera = [binomial(s - 1, 2)]
         self.last = 0
+        self.lock = threading.Lock()
 
     def extend_to(self, d: int):
         """Take the row on to multiplicity ``d``.
@@ -85,8 +87,10 @@ class _MaxRow:
             genera.append(genera[-1] + i - 1)
 
 
-_max_rows: dict[int, _MaxRow] = {}
-_max_lock = threading.Lock()
+@cache
+def _row(s: int) -> _MaxRow:
+    """The length-s row, kept across degrees."""
+    return _MaxRow(s)
 
 
 def _max_row(d: int, s: int) -> _MaxRow:
@@ -96,12 +100,10 @@ def _max_row(d: int, s: int) -> _MaxRow:
     if d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
     _check_degree(d)
-    with _max_lock:
-        row = _max_rows.get(s)
-        if row is None:
-            row = _max_rows[s] = _MaxRow(s)
+    row = _row(s)
+    with row.lock:
         row.extend_to(d)
-        return row
+    return row
 
 
 def max_oseq(d: int, s: int) -> tuple[int, ...]:
@@ -270,8 +272,3 @@ def certified_gaps(d: int) -> list[GapCertificate]:
             out.extend(map(_certificate, zip(range(top + 1, nxt), repeat("between-ranges"),
                                              repeat(s), repeat(None))))
     return out
-
-
-def clear_range_caches():
-    with _max_lock:
-        _max_rows.clear()

@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import _kernels
-from .errors import UnattainableGenusError
+from .errors import UnattainableGenusError, _check_degree
 from .ranges import max_genus  # noqa: F401  (perfbench/tracer.py wraps regularity.max_genus)
 from .search import genus_search
 from .trees import TreeFamily
@@ -37,6 +37,7 @@ def min_acm_regularity(d: int, g: int) -> RegularityAnswer:
     """
     if d < 1 or g < 0:
         raise ValueError("need d >= 1 and g >= 0")
+    _check_degree(d)
     if g > comb(d - 1, 2):
         raise UnattainableGenusError(
             f"genus {g} exceeds C({d}-1, 2) = {comb(d - 1, 2)}", kind="out-of-range"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterator, Optional
 
-from .errors import BudgetError, EmptyFamilyError, MembershipError
+from .errors import MAX_DEGREE, BudgetError, EmptyFamilyError, MembershipError
 from .macaulay import format_oseq, is_admissible, multiplicity
 from .ranges import min_oseq
 
@@ -63,9 +63,12 @@ class TreeFamily(namedtuple("TreeFamily", "kind s d cap")):
             raise ValueError("length family needs s >= 1")
         if self.kind == "multiplicity" and (self.d is None or self.d < 1):
             raise ValueError("multiplicity family needs d >= 1")
+        if self.kind == "both" and (self.s is None or self.d is None or self.s < 1):
+            raise ValueError("both family needs d and s >= 1")
+        if self.d is not None and self.d > MAX_DEGREE:
+            # a fixed multiplicity is held to the degree budget, as at every entry point
+            raise BudgetError(f"degree {self.d} exceeds the degree budget (limit {MAX_DEGREE})")
         if self.kind == "both":
-            if self.s is None or self.d is None or self.s < 1:
-                raise ValueError("both family needs d and s >= 1")
             if self.d < self.s:
                 raise EmptyFamilyError(
                     f"no O-sequence has multiplicity {self.d} and length {self.s}"

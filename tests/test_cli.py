@@ -253,12 +253,17 @@ def test_degree_budget_exits_3_within_seconds():
         ["mseq", "100000"],
         ["hilbert", "1,1^1000000000"],
         ["hilbert", "1,2,1", "--tmax", "1000000000"],
+        # the tree families and the out-of-range test once ran ahead of the degree budget
+        ["enumerate", "1001"],
+        ["enumerate", "1001", "--length", "3"],
+        ["min-reg", "1001", "1000000"],
     ):
         result = subprocess.run(
             [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=10
         )
         assert result.returncode == 3, (args, result.stderr)
         assert "budget exceeded" in result.stderr, args
+        assert result.stdout == "", args
 
 
 def test_huge_entries_and_genera_above_the_range_answer_within_seconds():

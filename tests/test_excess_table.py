@@ -48,9 +48,12 @@ def _assert_table_matches_direct_walk(degrees):
             assert list(got.items()) == list(_direct(d, s).items()), (d, s)
 
 
-def _assert_tables_complete():
-    """Each table holds every genus of its canonical tree, with a witness."""
-    for k, table in _kernels._excess_cache.items():
+def _assert_tables_complete(excesses):
+    """The tables kept are those of ``excesses``, and each holds every genus
+    of its canonical tree, with a witness."""
+    assert _kernels._excess_witnesses.cache_info().currsize == len(excesses)
+    for k in excesses:
+        table = _kernels._excess_witnesses(k)
         d, s = 2 * k + 1, k + 1
         assert sum(1 << g for g in table) == length_profile(d)[s], k
         for g, w in table.items():
@@ -72,7 +75,7 @@ def test_long_lengths_match_the_direct_walk_after_a_warm_up(order):
     for d in order:
         acm_genera(d)
     _assert_table_matches_direct_walk(range(1, 61))
-    _assert_tables_complete()
+    _assert_tables_complete(range(30))  # every long length of d <= 60 has k <= 29
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,20 +94,23 @@ def test_requests_sharing_an_excess_answer_as_the_direct_walk(data):
         label="requests",
     )
     acmgenera.clear_caches()
+    asked = set()  # a request with no target builds no table
     for d, offsets in requests:
         s = d - k
         targets = sorted(comb(s - 1, 2) + o for o in offsets)
         found = _kernels._search_impl(d, s, targets, bound_table(d))
         expected = [(g, found[g]) for g in targets if g in found]
         assert list(search_fixed_both(d, s, targets).items()) == expected, (d, s, targets)
-        _assert_tables_complete()
+        if targets:
+            asked.add(k)
+        _assert_tables_complete(asked)
 
 
 def test_clear_caches_drops_the_excess_table():
     acm_genera(40)
-    assert _kernels._excess_cache
+    assert _kernels._excess_witnesses.cache_info().currsize
     acmgenera.clear_caches()
-    assert not _kernels._excess_cache
+    assert _kernels._excess_witnesses.cache_info().currsize == 0
 
 
 def _record_walks(monkeypatch):
@@ -192,7 +198,7 @@ def _assert_present_offsets_follow_the_profile(degrees, max_excess):
             assert masks.setdefault(k, mask) == mask, (d, s)
             if k <= max_excess:
                 search_fixed_both(d, s, _whole_range(d, s))
-                present = sum(1 << (g - comb(k, 2)) for g in _kernels._excess_cache[k])
+                present = sum(1 << (g - comb(k, 2)) for g in _kernels._excess_witnesses(k))
                 assert present == mask, (d, s)
 
 
@@ -243,7 +249,8 @@ def _summary(c):
     return c.genera.bits, c.gaps, c.witnesses, c.certain.bits, c.stats
 
 
-def test_concurrent_cold_classifications_match_sequential_ones():
+def test_concurrent_cold_classifications_match_sequential_ones(monkeypatch):
+    asked, _ = _record_walks(monkeypatch)
     degrees = list(range(3, 71))
     acmgenera.clear_caches()
     sequential = {d: _summary(acm_genera(d)) for d in degrees}
@@ -262,4 +269,4 @@ def test_concurrent_cold_classifications_match_sequential_ones():
     for t in threads:
         t.join()
     assert all(r == sequential for r in results)
-    _assert_tables_complete()
+    _assert_tables_complete({d - s for d, s, _ in asked if s > d - s})

@@ -10,6 +10,7 @@ from acmgenera import (
     certain_genera,
     certified_gaps,
     children,
+    export_json,
     genus,
     genus_search,
     iter_family,
@@ -18,6 +19,7 @@ from acmgenera import (
     max_genus,
     max_oseq,
     min_acm_regularity,
+    parent,
     range_table,
 )
 from acmgenera import _kernels, errors
@@ -167,10 +169,11 @@ def test_length_profile_agrees_with_single_target_search():
 
 
 def test_clear_caches_drops_length_profile():
-    length_profile(12)
-    assert 12 in _kernels._profile_cache
     acmgenera.clear_caches()
-    assert not _kernels._profile_cache
+    length_profile(12)
+    assert _kernels._profile.cache_info().currsize == 1  # degree 12's
+    acmgenera.clear_caches()
+    assert _kernels._profile.cache_info().currsize == 0
     assert length_profile(12) == tuple(brute_force_attained(12)[0])
 
 
@@ -186,11 +189,11 @@ def test_short_lengths_build_only_a_prefix_of_the_profile():
     acmgenera.clear_caches()
     assert _kernels.shortest_length(300, 0) == 2
     assert _kernels.shortest_length(300, 1) == 3
-    assert len(_kernels._profile_cache[300][0]) == 4  # masks[0..3] only
+    assert len(_kernels._profile(300)[0]) == 4  # masks[0..3] only
     whole = length_profile(28)
     acmgenera.clear_caches()
     assert _kernels.shortest_length(28, 150) == 16
-    assert len(_kernels._profile_cache[28][0]) == 17
+    assert len(_kernels._profile(28)[0]) == 17
     assert length_profile(28) == whole  # a resumed build equals a whole one
 
 
@@ -224,6 +227,15 @@ def test_degree_budget_refuses_every_entry_point_before_allocating():
         lambda: _kernels.length_witness(over, over, 0),
         lambda: genus_search(0, TreeFamily.fixed_multiplicity(over)),
         lambda: min_acm_regularity(over, 0),
+        lambda: min_acm_regularity(over, comb(over - 1, 2) + 1),
+        lambda: next(iter_family(TreeFamily.fixed_multiplicity(over))),
+        lambda: next(iter_family(TreeFamily.fixed_both(over, 3))),
+        lambda: children((1, over - 1), TreeFamily.fixed_multiplicity(over)),
+        lambda: children((1, over - 2, 1), TreeFamily.fixed_both(over, 3)),
+        lambda: parent((1, over - 2, 1), TreeFamily.fixed_multiplicity(over)),
+        lambda: parent((1, over - 2, 1), TreeFamily.fixed_both(over, 3)),
+        lambda: export_json(TreeFamily.fixed_multiplicity(over)),
+        lambda: export_json(TreeFamily.fixed_both(over, 3)),
         lambda: range_table(over),
         lambda: certified_gaps(over),
     ]

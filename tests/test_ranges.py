@@ -115,10 +115,13 @@ def test_max_genus_is_the_top_of_the_genus_profile():
 
 
 @pytest.mark.parametrize("d", [50, 100, 150])
-def test_classification_builds_max_genus_rows_only_below_the_long_lengths(d):
+def test_classification_builds_max_genus_rows_only_below_the_long_lengths(monkeypatch, d):
+    built = []
+    real = ranges._MaxRow
+    monkeypatch.setattr(ranges, "_MaxRow", lambda s: built.append(s) or real(s))
     clear_caches()
     acm_genera(d)
-    assert ranges._max_rows and max(ranges._max_rows) <= d // 2
+    assert built and max(built) <= d // 2
 
 
 def test_extremes_against_enumeration():
@@ -147,7 +150,7 @@ def test_max_rows_do_not_depend_on_order():
             seqs = {h for h in reference_sequences(d) if len(h) == s}
             assert top in seqs and genus(top) == g == max(map(genus, seqs)), (d, s)
     clear_caches()
-    assert not ranges._max_rows
+    assert ranges._row.cache_info().currsize == 0
 
 
 def test_separated_examples():
@@ -218,7 +221,7 @@ def test_hole_windows_unattained_past_brute_force():
 def test_hole_windows_unattained_audit():
     for d in range(1, 181):
         _assert_hole_windows_unattained(d)
-        _kernels.clear_kernel_caches()  # one degree's profile at a time
+        clear_caches()  # one degree's profile at a time
 
 
 def test_no_holes_at_top_lengths():

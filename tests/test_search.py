@@ -295,7 +295,7 @@ def test_step3_skips_the_lengths_below_every_pending_value():
     # only lengths whose max_genus builds a row
     clear_caches()
     acm_genera(300)
-    assert not ranges._max_rows
+    assert ranges._row.cache_info().currsize == 0
 
 
 def test_stats_partition_range():
@@ -320,14 +320,21 @@ def test_witness_validity_up_to_60():
 def _assert_checker_confirms(degrees):
     """The independent checker's DP confirms each classification past the
     exhaustive oracle: genera, gaps and witnesses, each witness at the
-    shortest length of its genus, and no step-1 genus among the gaps."""
+    shortest length of its genus, and no step-1 genus among the gaps.  At
+    every long length, s >= d//2 + 1, the checker's profile is C(s-1,2) plus
+    one offset mask per excess k = d - s, Off(k), whatever the degree."""
     checker = independent_checker()
+    offsets = {}
     for d in degrees:
         cls = acm_genera(d)
         assert checker.classification_problems(cls) == [], d
         for g, h in cls.witnesses.items():
             assert len(h) == checker.min_length(d, g), (d, g)
         assert not cls.certain.bits & ~checker.genera_mask(d), d
+        profile = checker.length_profile(d)
+        for s in range(d // 2 + 1, d + 1):
+            mask = profile[s] >> comb(s - 1, 2)
+            assert offsets.setdefault(d - s, mask) == mask, (d, s)
         checker.length_profile.cache_clear()  # one degree's profile at a time
 
 
