@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -192,6 +192,11 @@ def range_table(d: int) -> list[GenusRange]:
     return [genus_range(d, s) for s in range(min(d, 2), d + 1)]
 
 
+def _hole_count(d: int, s: int) -> int:
+    """How many values below the top of the (d, s)-range are holes: d - s - 3, or 0 outside the rule."""
+    return d - s - 3 if 7 <= d // 2 + 1 <= s <= d - 4 else 0
+
+
 def hole_window(d: int, s: int) -> range:
     """The hole values of the (d, s)-range, ascending: its top d - s - 3 values below the maximum.
 
@@ -199,10 +204,11 @@ def hole_window(d: int, s: int) -> range:
     ``range(top - (d - s - 3), top)``, ``top = max_genus(d, s)``.  The rule
     holds for ``7 <= d//2 + 1 <= s <= d - 4``; elsewhere the window is empty.
     """
-    if not 7 <= d // 2 + 1 <= s <= d - 4:
+    count = _hole_count(d, s)
+    if not count:
         return range(0)
     top = closed_max_genus(d, s)
-    return range(top - (d - s - 3), top)
+    return range(top - count, top)
 
 
 def holes(d: int, s: int) -> list[int]:
@@ -238,37 +244,45 @@ class GapCertificate(NamedTuple):
     i: Optional[int] = None
 
 
-# builds a GapCertificate from one 4-tuple without the NamedTuple's per-call __new__
-_certificate = partial(tuple.__new__, GapCertificate)
+def certified_runs(d: int) -> list[tuple[int, int, str, int, int]]:
+    """The closed-form gaps as ascending runs ``(start, stop, reason, s, top)``, at most two per length.
 
-
-def certified_gaps(d: int) -> list[GapCertificate]:
-    """All gaps certified by closed formulas, sorted by value.
-
-    Combines the separated-range rule with the hole values that fall
-    strictly below the next range's minimum.  The separated lengths form an
-    upward-closed tail of 2..d-1, so the between-range intervals are also
-    exactly the integers covered by no range at all; the tests hold this
-    set to a reference that computes that complement from the exact range
-    endpoints.
+    A run certifies ``range(start, stop)`` at length ``s``, whose range tops
+    out at ``top``: first the holes below the next range's minimum, then the
+    integers up to that minimum when the two ranges are separated.
     """
     _check_degree(d)
-    if d <= 2:
-        return []
-    out: list[GapCertificate] = []
+    runs: list[tuple[int, int, str, int, int]] = []
     # Both rules start at s = d//2 + 1 (below it (2d+1-2s)^2 >= 8d-15, so no
     # s is separated), and length s certifies only values in [C(s-1,2),
     # C(s,2)): holes inside its range below the top, between-range values
     # above the top and below min_genus(s+1).  So one ascending pass over s,
-    # holes first, emits each value once and in order.
+    # holes first, yields the runs in order.
     for s in range(d // 2 + 1, d):
         top = closed_max_genus(d, s)
         nxt = min_genus(s + 1)
-        window = hole_window(d, s)
-        below = range(window.start, min(window.stop, nxt))  # hole i = top - value
-        out.extend(map(_certificate, zip(below, repeat("hole-always-gap"), repeat(s),
-                                         range(top - below.start, top - below.stop, -1))))
+        start, stop = top - _hole_count(d, s), min(top, nxt)
+        if start < stop:
+            runs.append((start, stop, "hole-always-gap", s, top))
         if is_separated(d, s):
-            out.extend(map(_certificate, zip(range(top + 1, nxt), repeat("between-ranges"),
-                                             repeat(s), repeat(None))))
+            runs.append((top + 1, nxt, "between-ranges", s, top))
+    return runs
+
+
+def certified_gaps(d: int) -> list[GapCertificate]:
+    """All gaps certified by closed formulas, sorted by value: :func:`certified_runs`, value by value.
+
+    Combines the separated-range rule with the hole values that fall
+    strictly below the next range's minimum (hole ``i`` is ``top - i``).
+    The separated lengths form an upward-closed tail of 2..d-1, so the
+    between-range intervals are also exactly the integers covered by no
+    range at all; the tests hold this set to a reference that computes that
+    complement from the exact range endpoints.
+    """
+    out: list[GapCertificate] = []
+    for start, stop, reason, s, top in certified_runs(d):
+        i = range(top - start, top - stop, -1) if reason == "hole-always-gap" else repeat(None)
+        # tuple.__new__ builds each GapCertificate without the NamedTuple's per-call __new__
+        out.extend(map(tuple.__new__, repeat(GapCertificate),
+                       zip(range(start, stop), repeat(reason), repeat(s), i)))
     return out

@@ -26,7 +26,7 @@ from . import _kernels, ranges
 from .continuity import GenusSet, certain_genera
 from .errors import _check_degree
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, max_genus, min_genus
+from .ranges import GapCertificate, certified_gaps, max_genus
 from .trees import TreeFamily, _walk
 
 
@@ -130,19 +130,20 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
 
     Step 1 takes the certain genera from the degree recursion and step 2 the
-    closed-form gap certificates.  Step 3 keeps the values neither settled
-    as a bitmask and applies one rule for s = 2 .. d in ascending order: a
-    pending value below ``min_genus(s)`` was attained at no shorter length
-    and no longer one can reach it, so it is a gap; the pending values in
+    closed-form gap certificates.  Step 3 masks the certified values out, one
+    OR per run of :func:`~acmgenera.ranges.certified_runs`, keeps the rest as
+    a bitmask and applies one rule for s = 2 .. d in ascending order: a
+    pending value below ``min_genus(s)`` was attained at no shorter length and
+    no longer one can reach it, so it is a gap; the pending values in
     ``[min_genus(s), max_genus(d, s)]`` go to one multi-target search of the
     fixed-(d, s) tree, and its hits are genera.  The search skips the hole
-    values of length s (:func:`~acmgenera.ranges.hole_window`): no length-s
-    sequence has them, so they stay pending for the longer lengths, and no
-    result changes.  A length whose genus ceiling ``C(s-1,2) + (s-2)(d-s)``
-    lies below every pending value holds no target and is skipped before its
-    ``max_genus`` is read: the genus is ``C(s-1,2)`` plus at most ``s-2``
-    for each of the ``d-s`` units above the all-ones sequence.  The walk
-    stops once nothing is pending.
+    values of length s (:func:`~acmgenera.ranges.hole_window`), which no
+    length-s sequence has: they stay pending for the longer lengths.  A length
+    whose genus ceiling ``C(s-1,2) + (s-2)(d-s)`` (at most ``s-2`` for each of
+    the ``d-s`` units above the all-ones sequence) lies below the least
+    pending value holds no target and is skipped before its ``max_genus`` is
+    read.  That value is an int, read again from the mask only after a search
+    or once ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -155,8 +156,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     t2 = perf_counter()
 
     certified_bits = 0
-    for c in certificates:
-        certified_bits |= 1 << c.value
+    for start, stop, *_ in ranges.certified_runs(d):
+        certified_bits |= ((1 << (stop - start)) - 1) << start
     undecided = GenusSet.universe_mask(d) & ~certain.bits & ~certified_bits
     stats = {
         "certain_genera": len(certain),
@@ -166,12 +167,15 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
 
     witnesses: dict[int, tuple[int, ...]] = {}
     found_bits = 0
-    pending = undecided
+    pending, low, least = undecided, -1, 0  # low: the least pending value, or -1 to read it again
     for s in range(2, d + 1):
-        pending &= -1 << min_genus(s)
-        if not pending:
-            break
-        if comb(s - 1, 2) + (s - 2) * (d - s) < (pending & -pending).bit_length() - 1:
+        least += s - 2  # min_genus(s) = C(s-1,2)
+        if low < least:
+            pending &= -1 << least
+            if not pending:
+                break
+            low = (pending & -pending).bit_length() - 1
+        if least + (s - 2) * (d - s) < low:
             continue
         targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
         holes = ranges.hole_window(d, s)  # never attained at length s; they stay pending
@@ -182,13 +186,15 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
             for g in hits:
                 found_bits |= 1 << g
             pending &= ~found_bits
+            low = -1
 
     genera = GenusSet(d, certain.bits | found_bits)
     searched_gaps = undecided & ~found_bits
     step3_gaps = [GapCertificate(g, "searched") for g in _set_bits(searched_gaps)]
-    gaps = sorted(certificates + step3_gaps, key=lambda c: c.value)
+    gaps = sorted(certificates + step3_gaps)  # unique values: tuple order is value order
     gap_bits = certified_bits | searched_gaps
-    if genera.bits & gap_bits or genera.bits | gap_bits != GenusSet.universe_mask(d):
+    if (genera.bits & gap_bits or genera.bits | gap_bits != GenusSet.universe_mask(d)
+            or certified_bits.bit_count() != len(certificates)):
         raise RuntimeError(f"genera and gaps do not partition the range for d={d}")
     if timings is not None:
         timings.update({"step1": t1 - t0, "step2": t2 - t1, "step3": perf_counter() - t2})

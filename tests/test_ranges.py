@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,10 @@ from acmgenera import (
     total_compare,
 )
 from acmgenera import _kernels, ranges
+from acmgenera.errors import MAX_DEGREE
 from acmgenera.ranges import (
     GapCertificate,
+    certified_runs,
     closed_max_genus,
     closed_max_oseq,
     hole_window,
@@ -281,6 +284,43 @@ def test_certified_gaps_equal_the_reference_loop():
         got = certified_gaps(d)
         assert got == reference_certified_gaps(d), d
         assert all(type(c) is GapCertificate for c in got), d
+
+
+def _value_mask(values) -> int:
+    """The bitmask of ``values``, one byte write per value rather than one big-integer OR."""
+    values = list(values)
+    buf = bytearray(max(values, default=0) // 8 + 1)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _assert_runs_equal_the_reference(degrees):
+    for d in degrees:
+        runs = certified_runs(d)
+        assert all(0 <= start < stop <= binomial(d - 1, 2) + 1 for start, stop, *_ in runs), d
+        assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:])), d  # ascending and disjoint
+        assert max(Counter(run[3] for run in runs).values(), default=0) <= 2, d
+        expanded = [
+            GapCertificate(v, reason, s, top - v if reason == "hole-always-gap" else None)
+            for start, stop, reason, s, top in runs
+            for v in range(start, stop)
+        ]
+        reference = reference_certified_gaps(d)
+        assert expanded == reference, d
+        mask = 0
+        for start, stop, *_ in runs:
+            mask |= ((1 << (stop - start)) - 1) << start
+        assert mask == _value_mask(c.value for c in reference), d
+
+
+def test_certified_runs_equal_the_reference():
+    _assert_runs_equal_the_reference(range(1, 301))
+
+
+@pytest.mark.slow
+def test_certified_runs_equal_the_reference_up_to_the_degree_budget():
+    _assert_runs_equal_the_reference(range(301, MAX_DEGREE + 1))
 
 
 def test_certified_gaps_sound():

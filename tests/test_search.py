@@ -1,3 +1,5 @@
+import hashlib
+import random
 from math import comb
 
 import pytest
@@ -266,8 +268,17 @@ def test_step3_classifies_what_steps_1_and_2_leave(monkeypatch, step, nothing):
     # step 3 decides every value left to it by search, so the result must not
     # depend on step 1 having covered the longest lengths
     monkeypatch.setattr(search_module, step, nothing)
+    if step == "certified_gaps":  # step 3 masks the certified values from their runs
+        monkeypatch.setattr(ranges, "certified_runs", lambda d: [])
     for d in range(2, 21):
         assert acm_genera(d).genera == brute_force_genera(d), d
+
+
+def test_step2_certificates_and_step3_mask_must_agree(monkeypatch):
+    # step 3 ORs the runs behind step 2's list; a list that lost a value fails loudly
+    monkeypatch.setattr(search_module, "certified_gaps", lambda d: ranges.certified_gaps(d)[1:])
+    with pytest.raises(RuntimeError, match="partition"):
+        acm_genera(30)
 
 
 def test_step3_sends_no_hole_value_to_its_length(monkeypatch):
@@ -296,6 +307,38 @@ def test_step3_skips_the_lengths_below_every_pending_value():
     clear_caches()
     acm_genera(300)
     assert ranges._row.cache_info().currsize == 0
+
+
+# sha256 over _classification_record(d) for d = 1..160: any change to an output of acm_genera moves it
+CLASSIFICATIONS_1_160 = "0b032887fd3a20e247b4b5c854eec97e448c6fce02472f899fab1384df703c18"
+
+
+def _classification_digest(records: dict[int, bytes]) -> str:
+    digest = hashlib.sha256()
+    for d in sorted(records):
+        digest.update(records[d])
+    return digest.hexdigest()
+
+
+def _classification_record(d: int) -> bytes:
+    cls = acm_genera(d)
+    return repr((d, tuple(cls.genera), [tuple(c) for c in cls.gaps], sorted(cls.witnesses.items()),
+                 tuple(cls.certain), sorted(cls.stats.items()))).encode()
+
+
+def test_classifications_are_byte_identical_in_any_order():
+    # every certificate field in list order, the witnesses, the certain set and
+    # the stats; warm and ascending, then cold in a shuffled order
+    clear_caches()
+    assert _classification_digest({d: _classification_record(d) for d in range(1, 161)}) \
+        == CLASSIFICATIONS_1_160
+    degrees = list(range(1, 161))
+    random.Random(2014).shuffle(degrees)
+    cold = {}
+    for d in degrees:
+        clear_caches()
+        cold[d] = _classification_record(d)
+    assert _classification_digest(cold) == CLASSIFICATIONS_1_160
 
 
 def test_stats_partition_range():
