@@ -59,8 +59,10 @@ _MEMOS = (
     macaulay_bound,
     _kernels.bound_table,
     _kernels._profile,
-    _kernels._excess_witnesses,
+    _kernels._excess_table,
+    _kernels._excess_witness,
     ranges._row,
+    continuity._plain_masks,
     continuity._certain_mask,
 )
 
@@ -71,10 +73,12 @@ def clear_caches():
     They are ``macaulay_bound``; by degree, the bound tables
     (``_kernels.bound_table``), the per-length genus profiles
     (``_kernels._profile``) and the certain genera
-    (``continuity._certain_mask``); by excess, the witness tables of the
-    long lengths (``_kernels._excess_witnesses``); and by length, the rows
-    of genus-maximal sequences (``ranges._row``).  This lets a benchmark
-    time cold computations after a warm-up run.
+    (``continuity._certain_mask``, with the degrees below 32 in
+    ``continuity._plain_masks``); the backward excess table of the long
+    lengths (``_kernels._excess_table``) and its witnesses by excess and
+    offset (``_kernels._excess_witness``); and by length, the rows of
+    genus-maximal sequences (``ranges._row``).  This lets a benchmark time
+    cold computations after a warm-up run.
     """
     for memo in _MEMOS:
         memo.cache_clear()

@@ -1,25 +1,28 @@
-"""Hot search kernels: one pruned tree walk, the exhaustive enumeration and
-the per-length genus profile.
+"""Hot search kernels: one pruned tree walk, the backward excess table, the
+exhaustive enumeration and the per-length genus profile.
 
 One depth-first walk searches the fixed-(d, s) tree; :func:`length_witness`
 is the rule for one genus at one length, and a fixed-multiplicity search is
 that rule at the lengths the degree's genus profile marks.  The walk and the
-exhaustive enumeration dominate the runtime of a degree classification.
-Both are explicit-stack loops over plain lists, reading the growth bound
-from a per-degree table of :func:`acmgenera.macaulay.macaulay_bound`
-values; the genus profile's dynamic program reads the same table.
+exhaustive enumeration are explicit-stack loops over plain lists, reading
+the growth bound from a per-degree table of
+:func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
+dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
-excess k = d - s (see :func:`search_fixed_both`).  The batch search walks
-the canonical tree of each excess, (2k + 1, k + 1), once and whole, and
-keeps every witness it finds; every degree reads that complete table, so
-its answers do not depend on which requests came before.
+excess k = d - s (see :func:`search_fixed_both`).  The batch search answers
+there from one backward table of suffix offsets that depends on neither k
+nor d: it grows with the largest excess asked, gives the offsets present at
+each excess with one OR, and builds each witness by a greedy pass, so its
+answers do not depend on which requests came before.
 """
 from __future__ import annotations
 
 import threading
 from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import Iterator
 
 from .errors import BudgetError, _check_degree
@@ -258,20 +261,117 @@ def bound_table(d: int) -> list[list[int]]:
     return tab
 
 
-@cache
-def _excess_witnesses(k: int) -> dict[int, tuple[int, ...]]:
-    """Every genus of the canonical tree (2k + 1, k + 1), with its witness.
+# The excess table is refused past this estimate (_excess_table_bytes), in
+# bytes.  It reads 8.9 MB at K = 57, the largest excess acm_genera asks for
+# up to MAX_DEGREE, and allows K <= 87: the table through K = 87 took 0.9 s
+# and a fresh process peaked at 89 MB resident (2-core x86_64, Python 3.11.7).
+MAX_EXCESS_TABLE_BYTES = 64 << 20
 
-    The first request for k walks that tree once over its whole genus
-    range, C(k,2) .. 2 C(k,2); the table is kept until
-    :func:`acmgenera.clear_caches`, so every later request is a lookup.  A
-    whole walk grows about 1.3-fold per step of k (42 ms at k = 32, 0.82 s
-    at 44, 2-core x86_64).  A walk of the requested genera alone visits most
-    of the tree too, so whole walks make a cold ``acm_genera(d)`` only 4-15%
-    slower (d = 50..1000; 46 s against 41 s at 1000) and a sweep 1/3 faster.
+
+def _excess_table_bytes(K0: int, K: int) -> int:
+    """Upper bound on the memory that growing the excess table from K0 to K takes.
+
+    The new rows are the (i, u) with K0 + 1 < i + u <= K + 1.  Each is held
+    twice, as u + 1 offset masks and as their prefix ORs; a mask is below
+    (i-1)u + C(u,2) + 1, and CPython stores an int in 24 bytes plus 4 per
+    30 bits.
     """
-    base = comb(k, 2)
-    return _search_impl(2 * k + 1, k + 1, range(base, 2 * base + 1), bound_table(2 * k + 1))
+    size = 0
+    for n in range(K0 + 3, K + 2):
+        for i in range(2, n + 1):
+            u = n - i
+            size += 128 + 16 * u + 2 * (u + 1) * (28 + 4 * (((i - 1) * u + u * (u - 1) // 2 + 1) // 30))
+    return size
+
+
+@cache
+def _excess_table() -> tuple[list, list, list, list, threading.Lock]:
+    """The backward excess table so far: (R, P, off, state, lock).
+
+    ``R[i][u][v]`` is the bitmask of the suffix offsets sum_{j>=i} (j-1) e_j
+    over the admissible excess suffixes e_i = v, e_{i+1}, ... with
+    sum_{j>=i} e_j = u, kept for i + u <= K + 1, and ``P[i][u][v]`` the OR
+    of ``R[i][u][:v + 1]``; ``off[k]`` is Off(k) for k <= K; ``state`` is
+    [``bound_table(K + 2)``, which holds every bound the table and the
+    witnesses read, the table's size estimate].  None of it depends on k or
+    d, so :func:`_excess_offsets` grows it in place, under ``lock``.
+    """
+    return [], [], [], [None, 0], threading.Lock()
+
+
+def _excess_offsets(k: int) -> int:
+    """Off(k): bit o is set iff some sequence of excess k has offset o.
+
+    The table is first taken on to excess k, its new rows (i, u) by
+    descending i.  An entry v >= 1 at position i allows e_{i+1} = w exactly
+    when w + 1 <= macaulay_bound(v + 1, i), a prefix of w, so each entry is
+    one prefix OR over row (i + 1, u - v), shifted by (i - 1) v.  A sum u at
+    position i needs k >= u + i - 1, e_1..e_{i-1} being positive, which
+    bounds the rows kept.  Off(k) ORs the rows R[2][u], u < k, up to the
+    entries that h_1 = k - u + 1 allows at position 2.
+    """
+    R, P, off, state, lock = _excess_table()
+    with lock:
+        if k >= len(off):
+            size = state[1] + _excess_table_bytes(len(off) - 1, k)
+            if size > MAX_EXCESS_TABLE_BYTES:
+                raise BudgetError(f"the excess table through k={k} exceeds the budget "
+                                  f"(limit {MAX_EXCESS_TABLE_BYTES >> 20} MB)")
+            tab = bound_table(k + 2)
+            while len(R) < k + 2:
+                R.append([[1]])  # R[i][0]: the empty suffix, offset 0
+                P.append([[1]])
+            for i in range(k, 1, -1):
+                prefix, row_b, rows = P[i + 1], tab[i], R[i]
+                for u in range(len(rows), k + 2 - i):
+                    row = [0] + [prefix[u - v][min(row_b[v + 1] - 1, u - v)] << (i - 1) * v
+                                 for v in range(1, u + 1)]
+                    rows.append(row)
+                    P[i].append(list(accumulate(row, or_)))
+            state[:] = tab, size
+            for j in range(len(off), k + 1):
+                acc = int(j == 0)  # (1, 1, ..., 1)
+                for u in range(j):
+                    acc |= P[2][u][min(tab[1][j - u + 1] - 1, u)]
+                off.append(acc)
+    return off[k]
+
+
+@cache
+def _excess_witness(k: int, o: int) -> tuple[int, ...]:
+    """(1, h_1, ..., h_k) of the canonical tree (2k + 1, k + 1)'s first vertex of offset o.
+
+    That vertex has the lexicographically largest (e_2, e_3, ...), so each
+    entry is taken as large as the table allows, keeping the suffix sums
+    still possible.  At position 2 a sum u leaves e_1 = k - u, and h_2 <=
+    h_1(h_1+1)/2 caps e_2; further on, e_{i-1} caps e_i.  Needs Off(k)
+    built and bit o set in it.
+    """
+    if not k:
+        return (1,)
+    R, _, _, (tab, _), _ = _excess_table()
+    cands = [(u, min(tab[1][k - u + 1] - 1, u)) for u in range(k)]
+    core = []
+    i = 2
+    while True:
+        rows, best, keep = R[i], -1, []
+        for u, cap in cands:
+            row = rows[u]
+            for v in range(cap, max(best, 0) - 1, -1):
+                if row[v] >> o & 1:
+                    if v > best:
+                        best, keep = v, []
+                    keep.append(u)
+                    break
+        if best <= 0:
+            break
+        core.append(best + 1)
+        o -= (i - 1) * best
+        cap = tab[i][best + 1] - 1
+        cands = [(u - best, min(cap, u - best)) for u in keep]
+        i += 1
+    e1 = k - sum(core) + len(core)
+    return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
 
 
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
@@ -280,20 +380,21 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     No sequence of multiplicity d is longer than d, so s > d finds nothing;
     a length below 1 raises ValueError.
 
-    A long length, s >= d//2 + 1, is answered from a complete table per
-    excess k = d - s that serves every degree.  A length-s sequence is
+    A long length, s >= d//2 + 1, is answered from the backward excess
+    table, which serves every degree.  A length-s sequence is
     (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
     C(s-1,2) plus an offset o = sum (i-1)(h_i - 1), and the excesses h_i - 1
-    sum to k.  Position j is raised only while h_1..h_{j-1} are at least 2,
-    so the raised positions stay at or below k <= s - 1 and the cap at
-    s - 1 never binds.  So the fixed-(d, s) walk is the walk of the
-    canonical tree (2k + 1, k + 1) on the core h_1..h_k, with genus
-    C(k,2) + o, the same preorder for every degree of that excess; every
-    bound it reads has a + t <= 2k + 1, which ``bound_table(2k + 1)``
-    enforces by raising past that domain.  A genus's witness is the first
-    vertex of that genus in preorder whatever the other targets are, so the
-    canonical witness (1,) + core is the one the direct walk returns, and
-    the witness at (d, s) is (1,) + core + (1,) * (s - 1 - k).
+    sum to k = d - s.  Position j is raised only while h_1..h_{j-1} are at
+    least 2, so the raised positions stay at or below k <= s - 1 and the cap
+    at s - 1 never binds: the core h_1..h_k, the offsets and the preorder
+    are those of the canonical tree (2k + 1, k + 1), the same for every
+    degree of that excess.  A target is a hit iff its offset is in Off(k)
+    (:func:`_excess_offsets`), and its witness is the first vertex of that
+    offset in the canonical preorder (:func:`_excess_witness`) followed by
+    s - 1 - k ones, the vertex the direct walk returns.  The table grows as
+    about K^5 in the largest excess K asked, and an excess whose table would
+    pass ``MAX_EXCESS_TABLE_BYTES`` raises :class:`BudgetError` before it is
+    built; K = 57 serves every degree up to ``MAX_DEGREE``.
     """
     _check_degree(d)
     if s < 1:
@@ -305,10 +406,13 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     if s <= k:  # a short length: the tree depends on d
         found = _search_impl(d, s, tlist, bound_table(d))
         return {g: found[g] for g in tlist if g in found}
-    found = _excess_witnesses(k)
-    shift = comb(k, 2) - comb(s - 1, 2)
+    base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2
+    offsets = [g - base for g in tlist if 0 <= g - base <= top]
+    if not offsets:
+        return {}
+    present = _excess_offsets(k)
     tail = (1,) * (s - 1 - k)
-    return {g: found[g + shift] + tail for g in tlist if g + shift in found}
+    return {base + o: _excess_witness(k, o) + tail for o in offsets if present >> o & 1}
 
 
 def length_witness(d: int, s: int, g: int):
@@ -318,11 +422,11 @@ def length_witness(d: int, s: int, g: int):
     returns None, and at a long length, s >= d//2 + 1, the top genus returns
     ``max_oseq(d, s)``, the only sequence with that genus: each of these
     would otherwise walk nearly the whole tree.  Any other genus is looked
-    for alone by one walk, not through the per-excess table of
-    :func:`search_fixed_both`: a table is a walk of the whole canonical
-    tree, and near k = d/2 it grows past reach.  At (300, 268), k = 32, the
-    target at offset 100 took 1.0 ms directly and the whole table 42 ms
-    (2-core x86_64).
+    for alone by one walk, pruned at ``g``, and not through the excess table
+    of :func:`search_fixed_both`: that table holds every offset of every
+    excess up to the one asked, about K^5 bits at excess K, and a single
+    query near k = d/2 (k = 499 at the degree budget) would be refused by
+    its size limit where a walk of a small offset answers at once.
     """
     top = max_genus(d, s)
     if g > top or g in hole_window(d, s):

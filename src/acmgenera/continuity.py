@@ -70,19 +70,42 @@ class GenusSet:
 
 
 @cache
+def _plain_masks() -> list[int]:
+    """Certain-genera bits of degrees 0..31 by the plain recursion, bottom-up in one call.
+
+    mask[d] = 1 | OR over 1 <= k < d of mask[d - k] << C(k, 2); a degree
+    below 32 is read from this list, so the recursion pays the cache wrapper
+    only from degree 32 on.
+    """
+    masks = [0, 1]
+    for d in range(2, 32):
+        bits, shift = 1, 0
+        for k in range(1, d):
+            bits |= masks[d - k] << shift
+            shift += k
+        masks.append(bits)
+    return masks
+
+
+@cache
 def _certain_mask(d: int) -> int:
     """Certain-genera bits of degree ``d``, by the largest part (module docstring).
 
     From degree 32 on, the mask reads only the degrees up to d // 2.  That
     the parts up to K fill 0..K(K-1) is checked at every degree up to
-    MAX_DEGREE, and fails at 31; below 32, K = 0 is the plain recursion.
-    The recursion is at most about 40 calls deep at MAX_DEGREE.
+    MAX_DEGREE, and fails at 31; below 32 the mask is the plain recursion's
+    (:func:`_plain_masks`).  The recursion is at most about 40 calls deep at
+    MAX_DEGREE.
     """
-    K = (d - 1) // 2 if d >= 32 else 0
+    plain = _plain_masks()
+    if d < 32:
+        return plain[d]
+    K = (d - 1) // 2
     bits = (1 << K * (K - 1) + 1) - 1
     shift = K * (K + 1) // 2  # C(k, 2) at k = K + 1
     for k in range(K + 1, d):
-        bits |= _certain_mask(d - k) << shift
+        j = d - k
+        bits |= (plain[j] if j < 32 else _certain_mask(j)) << shift
         shift += k
     return bits
 

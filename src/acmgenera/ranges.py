@@ -257,15 +257,24 @@ def certified_runs(d: int) -> list[tuple[int, int, str, int, int]]:
     # s is separated), and length s certifies only values in [C(s-1,2),
     # C(s,2)): holes inside its range below the top, between-range values
     # above the top and below min_genus(s+1).  So one ascending pass over s,
-    # holes first, yields the runs in order.
-    for s in range(d // 2 + 1, d):
-        top = closed_max_genus(d, s)
-        nxt = min_genus(s + 1)
-        start, stop = top - _hole_count(d, s), min(top, nxt)
+    # holes first, yields the runs in order.  With k = d - s, the top is
+    # C(s-1,2) + C(k,2) (closed_max_genus), s holds k - 3 holes when
+    # d >= 12 and k >= 4 (_hole_count), and is separated when
+    # (2k + 1)^2 < 8d - 15 (is_separated); C(s-1,2) and C(k,2) are carried
+    # from one s to the next.
+    s = d // 2 + 1
+    k, low = d - s, (s - 1) * (s - 2) // 2
+    excess_top, room = k * (k - 1) // 2, 8 * d - 15
+    has_holes = d >= 12
+    while k >= 1:
+        top, nxt = low + excess_top, low + s - 1
+        start, stop = top - (k - 3 if has_holes and k >= 4 else 0), min(top, nxt)
         if start < stop:
             runs.append((start, stop, "hole-always-gap", s, top))
-        if is_separated(d, s):
+        if (2 * k + 1) ** 2 < room:
             runs.append((top + 1, nxt, "between-ranges", s, top))
+        low, s, k = nxt, s + 1, k - 1
+        excess_top -= k
     return runs
 
 

@@ -1,13 +1,16 @@
-"""The per-excess witness table behind ``search_fixed_both`` at long lengths.
+"""The backward excess table behind ``search_fixed_both`` at long lengths.
 
 At s >= d//2 + 1 the fixed-(d, s) tree depends only on the excess k = d - s,
-so one complete table per k, the witnesses of the canonical tree
-(2k + 1, k + 1), serves every degree.  These tests hold the table to the
-direct walk, to the genus profile's dynamic program, to the independent
-dynamic program in ``perfbench/checker.py``, and to one whole walk per
-excess.
+so one table of suffix offsets, which grows with the largest excess asked,
+serves every degree: Off(k) holds the offsets present at excess k, and a
+greedy pass over the table builds each witness.  These tests hold the table
+to the direct walk, to the genus profile's dynamic program, to the
+independent dynamic program in ``perfbench/checker.py``, and to the rule
+that the long lengths walk no tree.
 """
 import random
+import subprocess
+import sys
 import threading
 from functools import lru_cache
 from math import comb
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acmgenera
-from acmgenera import _kernels, acm_genera, is_admissible, max_genus, min_genus
+from acmgenera import BudgetError, _kernels, acm_genera, is_admissible, max_genus, min_genus
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.ranges import hole_window
 from conftest import independent_checker
@@ -49,16 +52,18 @@ def _assert_table_matches_direct_walk(degrees):
 
 
 def _assert_tables_complete(excesses):
-    """The tables kept are those of ``excesses``, and each holds every genus
-    of its canonical tree, with a witness."""
-    assert _kernels._excess_witnesses.cache_info().currsize == len(excesses)
+    """The table reaches the largest of ``excesses`` and no further, and
+    Off(k) of each holds every genus of its canonical tree, with a witness."""
+    assert len(_kernels._excess_table()[2]) == max(excesses, default=-1) + 1
     for k in excesses:
-        table = _kernels._excess_witnesses(k)
         d, s = 2 * k + 1, k + 1
-        assert sum(1 << g for g in table) == length_profile(d)[s], k
-        for g, w in table.items():
-            assert len(w) == s and sum(w) == d and acmgenera.genus(w) == g, (k, g)
-            assert is_admissible(w), (k, g)
+        off = _kernels._excess_offsets(k)
+        assert off << comb(k, 2) == length_profile(d)[s], k
+        for o in range(off.bit_length()):
+            if off >> o & 1:
+                w = _kernels._excess_witness(k, o)
+                assert len(w) == s and sum(w) == d and acmgenera.genus(w) == comb(k, 2) + o, (k, o)
+                assert is_admissible(w), (k, o)
 
 
 def test_long_lengths_match_the_direct_walk_from_cold():
@@ -94,27 +99,29 @@ def test_requests_sharing_an_excess_answer_as_the_direct_walk(data):
         label="requests",
     )
     acmgenera.clear_caches()
-    asked = set()  # a request with no target builds no table
+    asked = set()  # a request with no target in the range builds no table
     for d, offsets in requests:
         s = d - k
         targets = sorted(comb(s - 1, 2) + o for o in offsets)
         found = _kernels._search_impl(d, s, targets, bound_table(d))
         expected = [(g, found[g]) for g in targets if g in found]
         assert list(search_fixed_both(d, s, targets).items()) == expected, (d, s, targets)
-        if targets:
+        if any(0 <= o <= comb(k, 2) for o in offsets):
             asked.add(k)
         _assert_tables_complete(asked)
 
 
 def test_clear_caches_drops_the_excess_table():
     acm_genera(40)
-    assert _kernels._excess_witnesses.cache_info().currsize
+    memos = (_kernels._excess_table, _kernels._excess_witness)
+    assert all(memo.cache_info().currsize for memo in memos)
     acmgenera.clear_caches()
-    assert _kernels._excess_witnesses.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert _kernels._excess_table()[:3] == ([], [], [])
 
 
 def _record_walks(monkeypatch):
-    """Record step 3's requests and the kernel's walks, each as (d, s, targets)."""
+    """Record step 3's requests and the kernel's tree walks, each as (d, s, targets)."""
     asked, walked = [], []
 
     def search(d, s, targets, _inner=_kernels.search_fixed_both):
@@ -130,48 +137,40 @@ def _record_walks(monkeypatch):
     return asked, walked
 
 
-def _expected_walks(asked):
-    """A short length's request walks itself; a long one walks its excess's
-    whole canonical tree, the first time that excess is asked."""
-    walks, seen = [], set()
-    for d, s, targets in asked:
-        k = d - s
-        if s <= k:
-            walks.append((d, s, targets))
-        elif k not in seen:
-            seen.add(k)
-            walks.append((2 * k + 1, k + 1, list(range(comb(k, 2), 2 * comb(k, 2) + 1))))
-    return walks
+def _short_requests(asked):
+    """The requests at short lengths, s <= d - s: the only ones that walk a tree."""
+    return [(d, s, targets) for d, s, targets in asked if s <= d - s]
 
 
-@pytest.mark.parametrize("d, walks", [(30, 8), (57, 13), (100, 17), (150, 20)])
-def test_cold_classification_walks_what_step_3_asks(monkeypatch, d, walks):
-    # within one degree each length has its own excess, so a cold acm_genera
-    # walks one whole canonical tree per length it searches, in step 3's order
+@pytest.mark.parametrize("d, requests", [(30, 8), (57, 13), (100, 17), (150, 20)])
+def test_cold_classification_walks_what_step_3_asks(monkeypatch, d, requests):
+    # a tree is walked only for a short-length request, and every length step
+    # 3 asks for at these degrees is long: nothing is walked, and the table
+    # grows once, to the largest excess asked
     asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
     acm_genera(d)
-    assert walked == _expected_walks(asked)
-    assert len(walked) == len(asked) == walks
+    assert len(asked) == requests
+    assert walked == _short_requests(asked) == []
+    _assert_tables_complete(range(max(d - s for d, s, _ in asked) + 1))
 
 
-def test_warm_ascending_sweep_reuses_the_walks(monkeypatch):
+def test_warm_ascending_sweep_walks_only_its_short_lengths(monkeypatch):
     asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
     for d in range(3, 71):
         acm_genera(d)
-    assert walked == _expected_walks(asked)
-    # one walk per excess asked at a long length, 15, and one per short-length
-    # request, at (15, 7), (16, 8) and (18, 9); 582 with one walk per request
-    short = [(d, s) for d, s, _ in asked if s <= d - s]
-    assert short == [(15, 7), (16, 8), (18, 9)]
-    assert len(walked) == len({d - s for d, s, _ in asked if s > d - s}) + len(short) == 18
+    # one walk per short-length request, at (15, 7), (16, 8) and (18, 9); the
+    # long lengths of the 582 requests read the table
+    assert walked == _short_requests(asked)
+    assert [(d, s) for d, s, _ in walked] == [(15, 7), (16, 8), (18, 9)]
+    assert len(asked) == 582
+    _assert_tables_complete(range(max(d - s for d, s, _ in asked if s > d - s) + 1))
 
 
-def test_long_lengths_read_only_the_canonical_bound_table(monkeypatch):
-    # every bound the canonical walk reads has a + t <= 2k + 1, and
-    # bound_table(2k + 1) raises past that domain; the long lengths build that
-    # table once per excess and never bound_table(d)
+def test_long_lengths_read_only_the_tables_bound_table(monkeypatch):
+    # the table through excess K reads bound_table(K + 2), once, when it grows
+    # to K; a smaller excess is a lookup, and bound_table(d) is never read
     read = []
 
     def table(d, _inner=_kernels.bound_table):
@@ -182,12 +181,44 @@ def test_long_lengths_read_only_the_canonical_bound_table(monkeypatch):
     acmgenera.clear_caches()
     for d, s in [(150, 128), (150, 140), (90, 68), (200, 178)]:
         search_fixed_both(d, s, _whole_range(d, s))
-    assert read == [2 * 22 + 1, 2 * 10 + 1]  # k = 22, k = 10; the last two share k = 22
+    assert read == [22 + 2]  # k = 22; then k = 10 and k = 22 again
+
+
+def test_an_oversized_table_is_refused_before_it_is_built():
+    # k = 499, the largest excess a degree allows: the table would take
+    # terabytes, and the whole walk it replaced never ended
+    acmgenera.clear_caches()
+    acm_genera(60)
+    built = len(_kernels._excess_table()[2])
+    with pytest.raises(BudgetError, match="excess table"):
+        search_fixed_both(1000, 501, [comb(500, 2) + 1])
+    assert len(_kernels._excess_table()[2]) == built
+    assert _kernels._excess_table_bytes(-1, 57) <= _kernels.MAX_EXCESS_TABLE_BYTES
+    # in a child, so that a table built after all fails by the timeout; the
+    # child's ru_maxrss would also count the test process it was forked from
+    code = (
+        "import tracemalloc; from math import comb; from acmgenera import BudgetError, _kernels\n"
+        "tracemalloc.start()\n"
+        "try:\n    _kernels.search_fixed_both(1000, 501, [comb(500, 2) + 1])\n"
+        "except BudgetError:\n    print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1 << 20  # peak bytes allocated by the refused request
+
+
+def test_the_degree_budget_classifies_within_the_table_limit():
+    # acm_genera(1000) asks for excesses up to 57, the largest of any degree
+    acmgenera.clear_caches()
+    cls = acm_genera(1000)
+    assert len(cls.genera) + len(cls.gaps) == comb(999, 2) + 1
+    assert len(_kernels._excess_table()[2]) == 58
 
 
 def _assert_present_offsets_follow_the_profile(degrees, max_excess):
     """The profile at each long length is C(s-1,2) plus a mask of k alone; up
-    to ``max_excess`` the table, asked for whole ranges, holds exactly it."""
+    to ``max_excess`` Off(k), and the hits of a search for the whole range,
+    are exactly it."""
     acmgenera.clear_caches()
     masks = {}
     for d in degrees:
@@ -197,9 +228,9 @@ def _assert_present_offsets_follow_the_profile(degrees, max_excess):
             mask = profile[s] >> comb(s - 1, 2)
             assert masks.setdefault(k, mask) == mask, (d, s)
             if k <= max_excess:
-                search_fixed_both(d, s, _whole_range(d, s))
-                present = sum(1 << (g - comb(k, 2)) for g in _kernels._excess_witnesses(k))
-                assert present == mask, (d, s)
+                hits = search_fixed_both(d, s, _whole_range(d, s))
+                present = sum(1 << (g - comb(s - 1, 2)) for g in hits)
+                assert present == mask == _kernels._excess_offsets(k), (d, s)
 
 
 def test_present_offsets_follow_the_profile():
@@ -208,10 +239,9 @@ def test_present_offsets_follow_the_profile():
 
 @pytest.mark.slow
 def test_present_offsets_follow_the_profile_audit():
-    # a whole canonical walk grows about 1.3-fold per excess step (42 ms at
-    # k = 32, 0.82 s at k = 44), so the table is asked up to k = 36; the
-    # profile masks are checked for every long length of every degree
-    _assert_present_offsets_follow_the_profile(range(1, 121), 36)
+    # the profile masks are checked for every long length of every degree,
+    # and the table at each of them
+    _assert_present_offsets_follow_the_profile(range(1, 121), 59)
 
 
 def _assert_offsets_match_the_checker(excesses):
@@ -221,7 +251,7 @@ def _assert_offsets_match_the_checker(excesses):
     acmgenera.clear_caches()
     for k in excesses:
         top = comb(k, 2)
-        off = sum(1 << (g - top) for g in _kernels._excess_witnesses(k))
+        off = _kernels._excess_offsets(k)
         assert off == checker.length_profile(2 * k + 1)[k + 1] >> top, k
         # the top offset is C(k,2): max genus C(s-1,2) + C(d-s,2) at every long length
         assert off.bit_length() - 1 == top, k
@@ -242,7 +272,43 @@ def test_offsets_match_the_independent_checker():
 
 @pytest.mark.slow
 def test_offsets_match_the_independent_checker_audit():
-    _assert_offsets_match_the_checker(range(31, 37))
+    # through k = 57, the largest excess acm_genera(1000) asks for
+    _assert_offsets_match_the_checker(range(31, 58))
+
+
+def test_threads_growing_the_table_agree_with_one_thread():
+    # the table grows in place under its lock while other threads read Off and
+    # build witnesses from it; a lost or doubled row would change an answer
+    excesses = list(range(41))
+    acmgenera.clear_caches()
+    expected = {k: _kernels._excess_offsets(k) for k in excesses}
+    witnesses = {(k, o): _kernels._excess_witness(k, o)
+                 for k in excesses for o in range(0, comb(k, 2) + 1, 5) if expected[k] >> o & 1}
+    orders = [random.Random(i).sample(excesses, len(excesses)) for i in range(6)]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def ask(i):
+        start.wait()
+        results[i] = (
+            {k: _kernels._excess_offsets(k) for k in orders[i]},
+            {(k, o): _kernels._excess_witness(k, o) for k, o in witnesses},
+        )
+
+    acmgenera.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(expected, witnesses)] * len(orders)
+    _assert_tables_complete(excesses)
 
 
 def _summary(c):

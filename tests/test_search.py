@@ -390,6 +390,13 @@ def test_classification_confirmed_by_the_checker_audit():
     _assert_checker_confirms(range(41, 301))
 
 
+@pytest.mark.slow
+def test_classification_confirmed_by_the_checker_up_to_the_degree_budget():
+    # sampled past d = 300, up to MAX_DEGREE; the checker's profile at
+    # d = 1000 is most of the time and of the memory
+    _assert_checker_confirms(range(400, 1001, 100))
+
+
 def test_cold_and_warm_runs_agree():
     clear_caches()
     cold = acm_genera(25)
