@@ -1,10 +1,11 @@
 """Hot search kernels: one pruned tree walk, the backward excess table, the
 exhaustive enumeration and the per-length genus profile.
 
-One depth-first walk searches the fixed-(d, s) tree; :func:`length_witness`
-is the rule for one genus at one length, and a fixed-multiplicity search is
-that rule at the lengths the degree's genus profile marks.  The walk and the
-exhaustive enumeration are explicit-stack loops over plain lists, reading
+One depth-first walk looks for one genus in the fixed-(d, s) tree;
+:func:`length_witness` is the rule for one genus at one length, which the
+batch search applies at each short length, and a fixed-multiplicity search
+is that rule at the lengths the degree's genus profile marks.  The walk and
+the exhaustive enumeration are explicit-stack loops over plain lists, reading
 the growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
@@ -37,15 +38,13 @@ MAX_EXHAUSTIVE_DEGREE = 40
 # kernel bodies
 
 
-def _search_impl(d, s, targets, bounds):
-    """Multi-target DFS over the tree of multiplicity-d sequences of length s.
+def _walk_to(d, s, g, bounds):
+    """First vertex of genus g in the fixed-(d, s) tree's preorder, or None.
 
     Children move one unit from position 1 to a position j >= J, the highest
     position already raised; genus grows by j - 1 along each edge, so a
-    subtree is pruned as soon as its root's genus reaches the largest
-    unfound target.  Each target's witness is the first vertex of its genus
-    in preorder; returns {genus: witness} for the targets found.  Needs
-    s <= d.
+    subtree is pruned as soon as its root's genus reaches g.  Needs
+    2 <= s <= d.
 
     A vertex has at most two children.  Along a tree path the raised
     positions never decrease, so at a vertex created by a move to J every
@@ -54,22 +53,13 @@ def _search_impl(d, s, targets, bounds):
     J + 1 (j = 2 at the root, J = 1 there), which skips only failing
     candidates and leaves the preorder unchanged.
     """
-    if s == 1:  # only (1,), of multiplicity 1 and genus 0
-        return {0: (1,)} if d == 1 and 0 in targets else {}
     h = [1] * s
     h[1] = d - s + 1
-    g = (s - 1) * (s - 2) // 2
-    todo = set(targets)
-    found = {}
-    if g in todo:
-        found[g] = tuple(h)
-        todo.discard(g)
-    if not todo:
-        return found
-    pending = sorted(todo)  # pending[-1] is the largest unfound target
-    hi = pending[-1]
-    if s < 3 or g >= hi:
-        return found
+    cur = (s - 1) * (s - 2) // 2
+    if cur == g:
+        return tuple(h)
+    if s < 3 or cur > g:
+        return None
 
     row1 = bounds[1]
     nx = [0] * (d + 2)  # next child position to try, per depth
@@ -77,7 +67,7 @@ def _search_impl(d, s, targets, bounds):
     nx[0] = 2
     js[0] = 1
     depth = 0
-    while depth >= 0:
+    while True:
         advanced = False
         if h[1] >= 2:
             b1 = row1[h[1] - 1]
@@ -91,24 +81,16 @@ def _search_impl(d, s, targets, bounds):
                 else:
                     ok = h[2] <= b1 and h[j] + 1 <= bounds[j - 1][h[j - 1]]
                 if ok:
-                    gc = g + j - 1
-                    if gc in todo:
-                        w = h[:]
-                        w[1] -= 1
-                        w[j] += 1
-                        found[gc] = tuple(w)
-                        todo.discard(gc)
-                        if not todo:
-                            return found
-                        if gc == hi:
-                            while pending[-1] not in todo:
-                                pending.pop()
-                            hi = pending[-1]
-                    if gc < hi:
+                    gc = cur + j - 1
+                    if gc == g:
+                        h[1] -= 1
+                        h[j] += 1
+                        return tuple(h)
+                    if gc < g:
                         nx[depth] = j + 1
                         h[1] -= 1
                         h[j] += 1
-                        g = gc
+                        cur = gc
                         depth += 1
                         nx[depth] = j
                         js[depth] = j
@@ -117,13 +99,12 @@ def _search_impl(d, s, targets, bounds):
                 j += 1
         if not advanced:
             if depth == 0:
-                break
+                return None
             jj = js[depth]
             h[1] += 1
             h[jj] -= 1
-            g -= jj - 1
+            cur -= jj - 1
             depth -= 1
-    return found
 
 
 def _brute_force_impl(d, bounds):
@@ -261,27 +242,13 @@ def bound_table(d: int) -> list[list[int]]:
     return tab
 
 
-# The excess table is refused past this estimate (_excess_table_bytes), in
-# bytes.  It reads 8.9 MB at K = 57, the largest excess acm_genera asks for
-# up to MAX_DEGREE, and allows K <= 87: the table through K = 87 took 0.9 s
-# and a fresh process peaked at 89 MB resident (2-core x86_64, Python 3.11.7).
-MAX_EXCESS_TABLE_BYTES = 64 << 20
-
-
-def _excess_table_bytes(K0: int, K: int) -> int:
-    """Upper bound on the memory that growing the excess table from K0 to K takes.
-
-    The new rows are the (i, u) with K0 + 1 < i + u <= K + 1.  Each is held
-    twice, as u + 1 offset masks and as their prefix ORs; a mask is below
-    (i-1)u + C(u,2) + 1, and CPython stores an int in 24 bytes plus 4 per
-    30 bits.
-    """
-    size = 0
-    for n in range(K0 + 3, K + 2):
-        for i in range(2, n + 1):
-            u = n - i
-            size += 128 + 16 * u + 2 * (u + 1) * (28 + 4 * (((i - 1) * u + u * (u - 1) // 2 + 1) // 30))
-    return size
+# The excess table is refused past this excess, before any row is built.
+# The table grows as about K^5 in the largest excess K asked.  An upper bound
+# on its bytes read 8.9 MB through K = 57, the largest excess acm_genera asks
+# for up to MAX_DEGREE, and 62 MB through K = 87, the last excess under
+# 64 MB; the table through K = 87 took 0.1-0.15 s and a fresh process peaked
+# at 65 MB resident (2-core x86_64, Python 3.11.7).
+MAX_EXCESS = 87
 
 
 @cache
@@ -292,11 +259,11 @@ def _excess_table() -> tuple[list, list, list, list, threading.Lock]:
     over the admissible excess suffixes e_i = v, e_{i+1}, ... with
     sum_{j>=i} e_j = u, kept for i + u <= K + 1, and ``P[i][u][v]`` the OR
     of ``R[i][u][:v + 1]``; ``off[k]`` is Off(k) for k <= K; ``state`` is
-    [``bound_table(K + 2)``, which holds every bound the table and the
-    witnesses read, the table's size estimate].  None of it depends on k or
-    d, so :func:`_excess_offsets` grows it in place, under ``lock``.
+    [``bound_table(K + 2)``], which holds every bound the table and the
+    witnesses read.  None of it depends on k or d, so
+    :func:`_excess_offsets` grows it in place, under ``lock``.
     """
-    return [], [], [], [None, 0], threading.Lock()
+    return [], [], [], [None], threading.Lock()
 
 
 def _excess_offsets(k: int) -> int:
@@ -308,15 +275,14 @@ def _excess_offsets(k: int) -> int:
     one prefix OR over row (i + 1, u - v), shifted by (i - 1) v.  A sum u at
     position i needs k >= u + i - 1, e_1..e_{i-1} being positive, which
     bounds the rows kept.  Off(k) ORs the rows R[2][u], u < k, up to the
-    entries that h_1 = k - u + 1 allows at position 2.
+    entries that h_1 = k - u + 1 allows at position 2.  An excess above
+    ``MAX_EXCESS`` raises :class:`BudgetError` before any row is built.
     """
+    if k > MAX_EXCESS:
+        raise BudgetError(f"the excess table through k={k} exceeds the budget (limit {MAX_EXCESS})")
     R, P, off, state, lock = _excess_table()
     with lock:
         if k >= len(off):
-            size = state[1] + _excess_table_bytes(len(off) - 1, k)
-            if size > MAX_EXCESS_TABLE_BYTES:
-                raise BudgetError(f"the excess table through k={k} exceeds the budget "
-                                  f"(limit {MAX_EXCESS_TABLE_BYTES >> 20} MB)")
             tab = bound_table(k + 2)
             while len(R) < k + 2:
                 R.append([[1]])  # R[i][0]: the empty suffix, offset 0
@@ -328,7 +294,7 @@ def _excess_offsets(k: int) -> int:
                                  for v in range(1, u + 1)]
                     rows.append(row)
                     P[i].append(list(accumulate(row, or_)))
-            state[:] = tab, size
+            state[0] = tab
             for j in range(len(off), k + 1):
                 acc = int(j == 0)  # (1, 1, ..., 1)
                 for u in range(j):
@@ -349,7 +315,7 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
     """
     if not k:
         return (1,)
-    R, _, _, (tab, _), _ = _excess_table()
+    R, _, _, (tab,), _ = _excess_table()
     cands = [(u, min(tab[1][k - u + 1] - 1, u)) for u in range(k)]
     core = []
     i = 2
@@ -377,8 +343,14 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s.
 
-    No sequence of multiplicity d is longer than d, so s > d finds nothing;
-    a length below 1 raises ValueError.
+    No sequence of multiplicity d is longer than d, so s > d finds nothing,
+    and only d = 1 has one of length 1; a length below 1 raises ValueError.
+
+    A short length, s <= d - s, asks :func:`length_witness` once per
+    target, the rule every single-genus query applies.  A classification's
+    step 3 sends only three requests there, each with one target:
+    (15, 7, [33]), (16, 8, [41]) and (18, 9, [53]), the only short-length
+    requests of a warm ascending sweep of every degree up to 1000.
 
     A long length, s >= d//2 + 1, is answered from the backward excess
     table, which serves every degree.  A length-s sequence is
@@ -392,20 +364,20 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     (:func:`_excess_offsets`), and its witness is the first vertex of that
     offset in the canonical preorder (:func:`_excess_witness`) followed by
     s - 1 - k ones, the vertex the direct walk returns.  The table grows as
-    about K^5 in the largest excess K asked, and an excess whose table would
-    pass ``MAX_EXCESS_TABLE_BYTES`` raises :class:`BudgetError` before it is
-    built; K = 57 serves every degree up to ``MAX_DEGREE``.
+    about K^5 in the largest excess K asked, and an excess above
+    ``MAX_EXCESS`` raises :class:`BudgetError` before any row is built;
+    K = 57 serves every degree up to ``MAX_DEGREE``.
     """
     _check_degree(d)
     if s < 1:
         raise ValueError("length must be >= 1")
     tlist = sorted({int(g) for g in targets})
-    if not tlist or s > d:
+    if not tlist or s > d or (s == 1 and d > 1):
         return {}
     k = d - s
     if s <= k:  # a short length: the tree depends on d
-        found = _search_impl(d, s, tlist, bound_table(d))
-        return {g: found[g] for g in tlist if g in found}
+        found = ((g, length_witness(d, s, g)) for g in tlist)
+        return {g: w for g, w in found if w is not None}
     base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2
     offsets = [g - base for g in tlist if 0 <= g - base <= top]
     if not offsets:
@@ -422,18 +394,18 @@ def length_witness(d: int, s: int, g: int):
     returns None, and at a long length, s >= d//2 + 1, the top genus returns
     ``max_oseq(d, s)``, the only sequence with that genus: each of these
     would otherwise walk nearly the whole tree.  Any other genus is looked
-    for alone by one walk, pruned at ``g``, and not through the excess table
-    of :func:`search_fixed_both`: that table holds every offset of every
-    excess up to the one asked, about K^5 bits at excess K, and a single
-    query near k = d/2 (k = 499 at the degree budget) would be refused by
-    its size limit where a walk of a small offset answers at once.
+    for by one walk, :func:`_walk_to`, pruned at ``g``, and not through the
+    excess table of :func:`search_fixed_both`: that table holds every offset
+    of every excess up to the one asked, about K^5 bits at excess K, and a
+    single query past ``MAX_EXCESS`` (up to k = 499 at the degree budget)
+    would be refused where a walk of a small offset answers at once.
     """
     top = max_genus(d, s)
     if g > top or g in hole_window(d, s):
         return None
     if g == top and s > d // 2:
         return max_oseq(d, s)
-    return _search_impl(d, s, [g], bound_table(d)).get(g)
+    return _walk_to(d, s, g, bound_table(d))
 
 
 def search_multiplicity(d: int, target: int):

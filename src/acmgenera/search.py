@@ -10,11 +10,11 @@ value below the least genus of length s is a gap, and the pending values in
 the (d, s)-range are searched for at length s, except that length's hole
 values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
 attains and which stay pending for the longer lengths.  Those searches go
-through :func:`~acmgenera._kernels.search_fixed_both`, which walks the tree
-only at a short length and answers a long one from the backward excess
-table that every degree shares; a single-genus search applies the
-per-length rule :func:`~acmgenera._kernels.length_witness`, which walks its
-tree directly.
+through :func:`~acmgenera._kernels.search_fixed_both`, which answers a long
+length from the backward excess table that every degree shares and a short
+one target by target with the per-length rule
+:func:`~acmgenera._kernels.length_witness`.  A single-genus search applies
+the same rule, which walks the tree for that one genus.
 """
 from __future__ import annotations
 

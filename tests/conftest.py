@@ -134,6 +134,99 @@ def range_complement(d: int) -> list[int]:
     return uncovered
 
 
+# the multi-target walk that searched every fixed-(d, s) tree before the
+# excess table and the single-genus walk, kept as their reference
+
+
+def reference_walk(d, s, targets, bounds):
+    """Multi-target DFS over the tree of multiplicity-d sequences of length s.
+
+    Children move one unit from position 1 to a position j >= J, the highest
+    position already raised; genus grows by j - 1 along each edge, so a
+    subtree is pruned as soon as its root's genus reaches the largest
+    unfound target.  Each target's witness is the first vertex of its genus
+    in preorder; returns {genus: witness} for the targets found.  Needs
+    s <= d.
+
+    A vertex has at most two children.  Along a tree path the raised
+    positions never decrease, so at a vertex created by a move to J every
+    entry past J is 1; since macaulay_bound(1, t) = 1, no
+    j >= J + 2 is admissible.  The child loop therefore tries only j = J and
+    J + 1 (j = 2 at the root, J = 1 there), which skips only failing
+    candidates and leaves the preorder unchanged.
+    """
+    if s == 1:  # only (1,), of multiplicity 1 and genus 0
+        return {0: (1,)} if d == 1 and 0 in targets else {}
+    h = [1] * s
+    h[1] = d - s + 1
+    g = (s - 1) * (s - 2) // 2
+    todo = set(targets)
+    found = {}
+    if g in todo:
+        found[g] = tuple(h)
+        todo.discard(g)
+    if not todo:
+        return found
+    pending = sorted(todo)  # pending[-1] is the largest unfound target
+    hi = pending[-1]
+    if s < 3 or g >= hi:
+        return found
+
+    row1 = bounds[1]
+    nx = [0] * (d + 2)  # next child position to try, per depth
+    js = [0] * (d + 2)  # position that created each depth
+    nx[0] = 2
+    js[0] = 1
+    depth = 0
+    while depth >= 0:
+        advanced = False
+        if h[1] >= 2:
+            b1 = row1[h[1] - 1]
+            j = nx[depth]
+            jtop = js[depth] + 1
+            if jtop > s - 1:
+                jtop = s - 1
+            while j <= jtop:
+                if j == 2:
+                    ok = h[2] + 1 <= b1
+                else:
+                    ok = h[2] <= b1 and h[j] + 1 <= bounds[j - 1][h[j - 1]]
+                if ok:
+                    gc = g + j - 1
+                    if gc in todo:
+                        w = h[:]
+                        w[1] -= 1
+                        w[j] += 1
+                        found[gc] = tuple(w)
+                        todo.discard(gc)
+                        if not todo:
+                            return found
+                        if gc == hi:
+                            while pending[-1] not in todo:
+                                pending.pop()
+                            hi = pending[-1]
+                    if gc < hi:
+                        nx[depth] = j + 1
+                        h[1] -= 1
+                        h[j] += 1
+                        g = gc
+                        depth += 1
+                        nx[depth] = j
+                        js[depth] = j
+                        advanced = True
+                        break
+                j += 1
+        if not advanced:
+            if depth == 0:
+                break
+            jj = js[depth]
+            h[1] += 1
+            h[jj] -= 1
+            g -= jj - 1
+            depth -= 1
+    return found
+
+
 def _load_perfbench(name: str):
     """perfbench/<name>.py, loaded read-only as a module of its own."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

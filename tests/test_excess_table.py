@@ -4,9 +4,10 @@ At s >= d//2 + 1 the fixed-(d, s) tree depends only on the excess k = d - s,
 so one table of suffix offsets, which grows with the largest excess asked,
 serves every degree: Off(k) holds the offsets present at excess k, and a
 greedy pass over the table builds each witness.  These tests hold the table
-to the direct walk, to the genus profile's dynamic program, to the
-independent dynamic program in ``perfbench/checker.py``, and to the rule
-that the long lengths walk no tree.
+to the multi-target reference walk in ``conftest.py``, to the genus
+profile's dynamic program, to the independent dynamic program in
+``perfbench/checker.py``, and to the rule that the long lengths walk no
+tree.
 """
 import random
 import subprocess
@@ -23,7 +24,7 @@ import acmgenera
 from acmgenera import BudgetError, _kernels, acm_genera, is_admissible, max_genus, min_genus
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.ranges import hole_window
-from conftest import independent_checker
+from conftest import independent_checker, reference_walk
 
 
 def _long_lengths(d):
@@ -36,9 +37,9 @@ def _whole_range(d, s):
 
 @lru_cache(maxsize=None)
 def _direct(d, s):
-    """The direct walk of the fixed-(d, s) tree over its whole genus range."""
+    """The reference walk of the fixed-(d, s) tree over its whole genus range."""
     targets = list(_whole_range(d, s))
-    found = _kernels._search_impl(d, s, targets, bound_table(d))
+    found = reference_walk(d, s, targets, bound_table(d))
     return {g: found[g] for g in targets if g in found}
 
 
@@ -103,7 +104,7 @@ def test_requests_sharing_an_excess_answer_as_the_direct_walk(data):
     for d, offsets in requests:
         s = d - k
         targets = sorted(comb(s - 1, 2) + o for o in offsets)
-        found = _kernels._search_impl(d, s, targets, bound_table(d))
+        found = reference_walk(d, s, targets, bound_table(d))
         expected = [(g, found[g]) for g in targets if g in found]
         assert list(search_fixed_both(d, s, targets).items()) == expected, (d, s, targets)
         if any(0 <= o <= comb(k, 2) for o in offsets):
@@ -121,19 +122,20 @@ def test_clear_caches_drops_the_excess_table():
 
 
 def _record_walks(monkeypatch):
-    """Record step 3's requests and the kernel's tree walks, each as (d, s, targets)."""
+    """Record step 3's requests, each as (d, s, targets), and the kernel's
+    tree walks, each as (d, s, g)."""
     asked, walked = [], []
 
     def search(d, s, targets, _inner=_kernels.search_fixed_both):
         asked.append((d, s, sorted(set(targets))))
         return _inner(d, s, targets)
 
-    def walk(d, s, targets, bounds, _inner=_kernels._search_impl):
-        walked.append((d, s, sorted(set(targets))))
-        return _inner(d, s, targets, bounds)
+    def walk(d, s, g, bounds, _inner=_kernels._walk_to):
+        walked.append((d, s, g))
+        return _inner(d, s, g, bounds)
 
     monkeypatch.setattr(_kernels, "search_fixed_both", search)
-    monkeypatch.setattr(_kernels, "_search_impl", walk)
+    monkeypatch.setattr(_kernels, "_walk_to", walk)
     return asked, walked
 
 
@@ -158,13 +160,15 @@ def test_cold_classification_walks_what_step_3_asks(monkeypatch, d, requests):
 def test_warm_ascending_sweep_walks_only_its_short_lengths(monkeypatch):
     asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
-    for d in range(3, 71):
+    counts = {}
+    for d in range(3, 301):
         acm_genera(d)
-    # one walk per short-length request, at (15, 7), (16, 8) and (18, 9); the
-    # long lengths of the 582 requests read the table
-    assert walked == _short_requests(asked)
-    assert [(d, s) for d, s, _ in walked] == [(15, 7), (16, 8), (18, 9)]
-    assert len(asked) == 582
+        counts[d] = len(asked)
+    # three short-length requests, each with one target, and one walk for
+    # each; the long lengths of the other requests read the table
+    assert _short_requests(asked) == [(15, 7, [33]), (16, 8, [41]), (18, 9, [53])]
+    assert walked == [(15, 7, 33), (16, 8, 41), (18, 9, 53)]
+    assert (counts[70], counts[300]) == (582, 5985)
     _assert_tables_complete(range(max(d - s for d, s, _ in asked if s > d - s) + 1))
 
 
@@ -193,7 +197,7 @@ def test_an_oversized_table_is_refused_before_it_is_built():
     with pytest.raises(BudgetError, match="excess table"):
         search_fixed_both(1000, 501, [comb(500, 2) + 1])
     assert len(_kernels._excess_table()[2]) == built
-    assert _kernels._excess_table_bytes(-1, 57) <= _kernels.MAX_EXCESS_TABLE_BYTES
+    assert 57 <= _kernels.MAX_EXCESS
     # in a child, so that a table built after all fails by the timeout; the
     # child's ru_maxrss would also count the test process it was forked from
     code = (
@@ -205,6 +209,22 @@ def test_an_oversized_table_is_refused_before_it_is_built():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 1 << 20  # peak bytes allocated by the refused request
+
+
+def test_the_excess_limit_holds_however_the_table_grew(monkeypatch):
+    # grown one excess at a time up to the limit, the table refuses the next
+    # excess as a cold build does, and keeps what it holds
+    monkeypatch.setattr(_kernels, "MAX_EXCESS", 12)
+    acmgenera.clear_caches()
+    for k in range(13):
+        assert _kernels._excess_offsets(k) == length_profile(2 * k + 1)[k + 1] >> comb(k, 2), k
+    with pytest.raises(BudgetError, match="excess table"):
+        _kernels._excess_offsets(13)
+    assert len(_kernels._excess_table()[2]) == 13
+    acmgenera.clear_caches()
+    with pytest.raises(BudgetError, match="excess table"):
+        _kernels._excess_offsets(13)
+    assert _kernels._excess_table()[2] == []
 
 
 def test_the_degree_budget_classifies_within_the_table_limit():

@@ -24,7 +24,7 @@ from acmgenera import (
 )
 from acmgenera import _kernels, errors
 from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
-from conftest import pascal_bound
+from conftest import pascal_bound, reference_walk
 
 
 def test_bound_table_matches_pascal_bound():
@@ -113,14 +113,14 @@ def test_search_multiplicity_first_preorder_witness_audit():
 def test_search_multiplicity_answers_a_long_length_top_genus_without_walking_it(monkeypatch):
     # at s >= d//2 + 1 the top genus is max_oseq(d, s)'s alone, and a walk for
     # it visits nearly the whole (d, s) tree; the other lengths still walk
-    walk = _kernels._search_impl
+    walk = _kernels._walk_to
     walked = []
 
-    def recording(d, s, targets, bounds):
+    def recording(d, s, g, bounds):
         walked.append((d, s))
-        return walk(d, s, targets, bounds)
+        return walk(d, s, g, bounds)
 
-    monkeypatch.setattr(_kernels, "_search_impl", recording)
+    monkeypatch.setattr(_kernels, "_walk_to", recording)
     for d in range(3, 41):
         bounds = bound_table(d)
         for s in range(d // 2 + 1, d + 1):
@@ -129,7 +129,7 @@ def test_search_multiplicity_answers_a_long_length_top_genus_without_walking_it(
             got = genus_search(g, TreeFamily.fixed_multiplicity(d))
             assert (d, s) not in walked, (d, s)
             expected = max(
-                (walk(d, t, [g], bounds)[g] for t in _kernels._lengths_of(d, g)),
+                (reference_walk(d, t, [g], bounds)[g] for t in _kernels._lengths_of(d, g)),
                 key=lambda w: w[2:] + (0,) * (d - len(w)),
             )
             assert got == expected, (d, s)

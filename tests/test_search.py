@@ -24,7 +24,13 @@ from acmgenera._kernels import search_fixed_both
 from acmgenera import _kernels, ranges, trees
 from acmgenera.ranges import closed_max_oseq, hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
-from conftest import independent_checker, reference_genera, reference_genera_by_length, reference_sequences
+from conftest import (
+    independent_checker,
+    reference_genera,
+    reference_genera_by_length,
+    reference_sequences,
+    reference_walk,
+)
 
 
 def test_genus_search_examples():
@@ -104,7 +110,7 @@ def test_genus_search_above_the_range_returns_none_without_a_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(_kernels, "_search_impl", no_walk)
+    monkeypatch.setattr(_kernels, "_walk_to", no_walk)
     for d, s in [(200, 120), (100, 54), (15, 6), (1, 1)]:
         assert genus_search(max_genus(d, s) + 1, TreeFamily.fixed_both(d, s)) is None, (d, s)
     assert genus_search(15000, TreeFamily.fixed_both(200, 120)) is None
@@ -116,7 +122,7 @@ def test_genus_search_answers_a_long_length_top_and_holes_without_a_walk(monkeyp
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(_kernels, "_search_impl", no_walk)
+    monkeypatch.setattr(_kernels, "_walk_to", no_walk)
     for d in range(1, 61):
         for s in range(d // 2 + 1, d + 1):
             family = TreeFamily.fixed_both(d, s)
@@ -129,7 +135,7 @@ def test_genus_search_long_length_top_is_the_walk_witness():
     for d in range(1, 31):
         for s in range(d // 2 + 1, d + 1):
             top = max_genus(d, s)
-            walked = _kernels._search_impl(d, s, [top], _kernels.bound_table(d))[top]
+            walked = reference_walk(d, s, [top], _kernels.bound_table(d))[top]
             assert genus_search(top, TreeFamily.fixed_both(d, s)) == walked, (d, s)
 
 
