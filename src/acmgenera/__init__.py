@@ -62,6 +62,7 @@ _MEMOS = (
     _kernels._excess_table,
     _kernels._excess_witness,
     ranges._row,
+    ranges.certified_runs,
     continuity._plain_masks,
     continuity._certain_mask,
 )
@@ -77,8 +78,9 @@ def clear_caches():
     ``continuity._plain_masks``); the backward excess table of the long
     lengths (``_kernels._excess_table``) and its witnesses by excess and
     offset (``_kernels._excess_witness``); and by length, the rows of
-    genus-maximal sequences (``ranges._row``).  This lets a benchmark time
-    cold computations after a warm-up run.
+    genus-maximal sequences (``ranges._row``), and by degree, the runs of
+    closed-form gaps (``ranges.certified_runs``).  This lets a benchmark
+    time cold computations after a warm-up run.
     """
     for memo in _MEMOS:
         memo.cache_clear()

@@ -11,11 +11,14 @@ the growth bound from a per-degree table of
 dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
-excess k = d - s (see :func:`search_fixed_both`).  The batch search answers
-there from one backward table of suffix offsets that depends on neither k
-nor d: it grows with the largest excess asked, gives the offsets present at
-each excess with one OR, and builds each witness by a greedy pass, so its
-answers do not depend on which requests came before.
+excess k = d - s, and :func:`long_length_hits` is the one rule there: the
+requested offsets are a bitmask, the hits are one AND with Off(k), and only
+the hits get witnesses.  Off(k) comes from one backward table of suffix
+offsets that depends on neither k nor d: it grows with the largest excess
+asked, and a greedy pass over it builds each witness, so the answers do not
+depend on which requests came before.  A classification's step 3 calls
+that rule directly, one mask per long length; :func:`search_fixed_both`
+calls it for a long length asked as a list of genera.
 """
 from __future__ import annotations
 
@@ -340,6 +343,48 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
     return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
 
 
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending, one step per set bit.
+
+    The masks of step 3 and its hits are sparse, so this beats a pass over
+    every binary digit.
+    """
+    values = []
+    while bits:
+        low = bits & -bits
+        values.append(low.bit_length() - 1)
+        bits ^= low
+    return values
+
+
+def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The offsets in the mask ``offsets`` attained at a long length, and their witnesses.
+
+    At a long length, s >= d//2 + 1, a length-s sequence is
+    (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
+    C(s-1,2) plus an offset o = sum (i-1)(h_i - 1), and the excesses
+    h_i - 1 sum to k = d - s.  Position j is raised only while
+    h_1..h_{j-1} are at least 2, so the raised positions stay at or below
+    k <= s - 1 and the cap at s - 1 never binds: the core h_1..h_k, the
+    offsets and the preorder are those of the canonical tree
+    (2k + 1, k + 1), the same for every degree of that excess.  Bit o of
+    ``offsets`` asks for genus C(s-1,2) + o; the hits are one AND with
+    Off(k) (:func:`_excess_offsets`), and only a hit gets a witness: the
+    first vertex of its offset in the canonical preorder
+    (:func:`_excess_witness`) followed by s - 1 - k ones, the vertex the
+    direct walk returns.
+
+    Returns (the hit mask, {genus: witness} in ascending genus).  The
+    table grows as about K^5 in the largest excess K asked, and an excess
+    above ``MAX_EXCESS`` raises :class:`BudgetError` before any row is
+    built; K = 57 serves every degree up to ``MAX_DEGREE``.
+    """
+    k = d - s
+    hits = offsets & _excess_offsets(k)
+    base, tail = (s - 1) * (s - 2) // 2, (1,) * (s - 1 - k)
+    return hits, {base + o: _excess_witness(k, o) + tail for o in _set_bits(hits)}
+
+
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s.
 
@@ -348,25 +393,14 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
 
     A short length, s <= d - s, asks :func:`length_witness` once per
     target, the rule every single-genus query applies.  A classification's
-    step 3 sends only three requests there, each with one target:
+    step 3 sends only three requests here, each with one target:
     (15, 7, [33]), (16, 8, [41]) and (18, 9, [53]), the only short-length
     requests of a warm ascending sweep of every degree up to 1000.
 
-    A long length, s >= d//2 + 1, is answered from the backward excess
-    table, which serves every degree.  A length-s sequence is
-    (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
-    C(s-1,2) plus an offset o = sum (i-1)(h_i - 1), and the excesses h_i - 1
-    sum to k = d - s.  Position j is raised only while h_1..h_{j-1} are at
-    least 2, so the raised positions stay at or below k <= s - 1 and the cap
-    at s - 1 never binds: the core h_1..h_k, the offsets and the preorder
-    are those of the canonical tree (2k + 1, k + 1), the same for every
-    degree of that excess.  A target is a hit iff its offset is in Off(k)
-    (:func:`_excess_offsets`), and its witness is the first vertex of that
-    offset in the canonical preorder (:func:`_excess_witness`) followed by
-    s - 1 - k ones, the vertex the direct walk returns.  The table grows as
-    about K^5 in the largest excess K asked, and an excess above
-    ``MAX_EXCESS`` raises :class:`BudgetError` before any row is built;
-    K = 57 serves every degree up to ``MAX_DEGREE``.
+    A long length, s >= d//2 + 1, is answered by :func:`long_length_hits`
+    from the backward excess table, which serves every degree; step 3
+    calls that rule directly with its pending offsets and does not come
+    here.
     """
     _check_degree(d)
     if s < 1:
@@ -379,27 +413,32 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
         found = ((g, length_witness(d, s, g)) for g in tlist)
         return {g: w for g, w in found if w is not None}
     base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2
-    offsets = [g - base for g in tlist if 0 <= g - base <= top]
-    if not offsets:
-        return {}
-    present = _excess_offsets(k)
-    tail = (1,) * (s - 1 - k)
-    return {base + o: _excess_witness(k, o) + tail for o in offsets if present >> o & 1}
+    offsets = 0
+    for g in tlist:
+        if 0 <= g - base <= top:
+            offsets |= 1 << (g - base)
+    return long_length_hits(d, s, offsets)[1] if offsets else {}
 
 
 def length_witness(d: int, s: int, g: int):
     """First vertex of genus ``g`` in the fixed-(d, s) tree's preorder, or None.
 
-    A genus above ``max_genus(d, s)`` or in the length's ``hole_window``
-    returns None, and at a long length, s >= d//2 + 1, the top genus returns
+    As in :func:`search_fixed_both`, s > d and s == 1 < d hold no sequence
+    and return None, and a length below 1 raises ValueError.  A genus above
+    ``max_genus(d, s)`` or in the length's ``hole_window`` returns None,
+    and at a long length, s >= d//2 + 1, the top genus returns
     ``max_oseq(d, s)``, the only sequence with that genus: each of these
     would otherwise walk nearly the whole tree.  Any other genus is looked
     for by one walk, :func:`_walk_to`, pruned at ``g``, and not through the
-    excess table of :func:`search_fixed_both`: that table holds every offset
+    excess table of :func:`long_length_hits`: that table holds every offset
     of every excess up to the one asked, about K^5 bits at excess K, and a
     single query past ``MAX_EXCESS`` (up to k = 499 at the degree budget)
     would be refused where a walk of a small offset answers at once.
     """
+    if s < 1:
+        raise ValueError("length must be >= 1")
+    if s > d or (s == 1 and d > 1):
+        return None
     top = max_genus(d, s)
     if g > top or g in hole_window(d, s):
         return None

@@ -244,12 +244,15 @@ class GapCertificate(NamedTuple):
     i: Optional[int] = None
 
 
-def certified_runs(d: int) -> list[tuple[int, int, str, int, int]]:
+@cache
+def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     """The closed-form gaps as ascending runs ``(start, stop, reason, s, top)``, at most two per length.
 
     A run certifies ``range(start, stop)`` at length ``s``, whose range tops
     out at ``top``: first the holes below the next range's minimum, then the
-    integers up to that minimum when the two ranges are separated.
+    integers up to that minimum when the two ranges are separated.  Cached
+    by degree, so a classification's step 2 builds the runs and its step 3
+    reads them.
     """
     _check_degree(d)
     runs: list[tuple[int, int, str, int, int]] = []
@@ -275,7 +278,7 @@ def certified_runs(d: int) -> list[tuple[int, int, str, int, int]]:
             runs.append((top + 1, nxt, "between-ranges", s, top))
         low, s, k = nxt, s + 1, k - 1
         excess_top -= k
-    return runs
+    return tuple(runs)
 
 
 def certified_gaps(d: int) -> list[GapCertificate]:

@@ -7,14 +7,18 @@ pruning loses nothing.  The classification combines the certain genera from
 the degree recursion, the closed-form gap certificates, and one rule for the
 values still pending, applied for s = 2 .. d in ascending order: a pending
 value below the least genus of length s is a gap, and the pending values in
-the (d, s)-range are searched for at length s, except that length's hole
+the (d, s)-range are looked for at length s, except that length's hole
 values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
-attains and which stay pending for the longer lengths.  Those searches go
-through :func:`~acmgenera._kernels.search_fixed_both`, which answers a long
-length from the backward excess table that every degree shares and a short
-one target by target with the per-length rule
-:func:`~acmgenera._kernels.length_witness`.  A single-genus search applies
-the same rule, which walks the tree for that one genus.
+attains and which stay pending for the longer lengths.  At a long length
+the pending values are read as one mask of offsets and answered by
+:func:`~acmgenera._kernels.long_length_hits`, one AND with the offsets that
+the backward excess table holds for that excess, with witnesses for the
+hits alone; :func:`~acmgenera._kernels.search_fixed_both` applies the same
+rule to a long length asked as a list.  A short length goes to
+``search_fixed_both``, which asks the per-length rule
+:func:`~acmgenera._kernels.length_witness` target by target.  A
+single-genus search applies that rule, which walks the tree for that one
+genus.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from . import _kernels, ranges
+from ._kernels import _set_bits
 from .continuity import GenusSet, certain_genera
 from .errors import _check_degree
 from .macaulay import genus
@@ -114,37 +119,35 @@ class DegreeClassification(NamedTuple):
         return "step2" if self.gaps[i].reason != "searched" else "post-loop"
 
 
-def _set_bits(bits: int) -> list[int]:
-    """Positions of the set bits, ascending, one step per set bit.
-
-    Step 3's masks are sparse, so this beats a pass over every binary digit.
-    """
-    values = []
-    while bits:
-        low = bits & -bits
-        values.append(low.bit_length() - 1)
-        bits ^= low
-    return values
-
-
 def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
 
     Step 1 takes the certain genera from the degree recursion and step 2 the
     closed-form gap certificates.  Step 3 masks the certified values out, one
-    OR per run of :func:`~acmgenera.ranges.certified_runs`, keeps the rest as
-    a bitmask and applies one rule for s = 2 .. d in ascending order: a
-    pending value below ``min_genus(s)`` was attained at no shorter length and
-    no longer one can reach it, so it is a gap; the pending values in
-    ``[min_genus(s), max_genus(d, s)]`` go to one multi-target search of the
-    fixed-(d, s) tree, and its hits are genera.  The search skips the hole
-    values of length s (:func:`~acmgenera.ranges.hole_window`), which no
-    length-s sequence has: they stay pending for the longer lengths.  A length
-    whose genus ceiling ``C(s-1,2) + (s-2)(d-s)`` (at most ``s-2`` for each of
-    the ``d-s`` units above the all-ones sequence) lies below the least
-    pending value holds no target and is skipped before its ``max_genus`` is
-    read.  That value is an int, read again from the mask only after a search
-    or once ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
+    OR per run of :func:`~acmgenera.ranges.certified_runs` (cached, so step 2
+    built them), keeps the rest as a bitmask and applies one rule for
+    s = 2 .. d in ascending order: a pending value below ``min_genus(s)`` was
+    attained at no shorter length and no longer one can reach it, so it is a
+    gap; the pending values in ``[min_genus(s), max_genus(d, s)]`` are looked
+    for at length s, and the values found are genera.
+
+    A long length, s >= d//2 + 1, shifts the mask down by ``C(s-1,2)`` and
+    cuts it to the ``C(d-s,2) + 1`` offsets of its range, less its hole
+    values (:func:`~acmgenera.ranges.hole_window`), which no length-s
+    sequence has and which stay pending for the longer lengths;
+    :func:`~acmgenera._kernels.long_length_hits` ANDs the offsets with those
+    present at excess d - s and builds witnesses for the hits alone.  A short
+    length, which holds no holes, sends its targets to
+    :func:`~acmgenera._kernels.search_fixed_both`; up to d = 1000 that
+    happens three times, each for one genus.
+
+    A length whose genus ceiling lies below the least pending value holds no
+    target and is skipped: the ceiling is ``C(s-1,2) + C(d-s,2)`` at a long
+    length and ``C(s-1,2) + (s-2)(d-s)`` at a short one (at most ``s-2`` for
+    each of the ``d-s`` units above the all-ones sequence), read before its
+    ``max_genus``.  The least pending value is an int, read again from the
+    mask only after a search or once ``min_genus(s)`` passes it.  The walk
+    stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -176,18 +179,32 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
             if not pending:
                 break
             low = (pending & -pending).bit_length() - 1
-        if least + (s - 2) * (d - s) < low:
-            continue
-        targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
-        holes = ranges.hole_window(d, s)  # never attained at length s; they stay pending
-        targets &= ~(((1 << len(holes)) - 1) << holes.start)
-        if targets:
-            hits = _kernels.search_fixed_both(d, s, _set_bits(targets))
-            witnesses.update(hits)
-            for g in hits:
-                found_bits |= 1 << g
-            pending &= ~found_bits
-            low = -1
+        k = d - s
+        if s > k:
+            top = k * (k - 1) // 2  # the top offset, C(k,2)
+            if least + top < low:
+                continue
+            holes = ranges._hole_count(d, s)
+            # the offsets below the holes, and the top one; the holes stay pending
+            offsets = (pending >> least) & (((1 << (top - holes)) - 1) | 1 << top)
+            if not offsets:
+                continue
+            hits, found = _kernels.long_length_hits(d, s, offsets)
+            hits <<= least
+        else:
+            if least + (s - 2) * k < low:
+                continue
+            targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
+            if not targets:
+                continue
+            found = _kernels.search_fixed_both(d, s, _set_bits(targets))
+            hits = 0
+            for g in found:
+                hits |= 1 << g
+        witnesses.update(found)
+        found_bits |= hits
+        pending &= ~hits
+        low = -1
 
     genera = GenusSet(d, certain.bits | found_bits)
     searched_gaps = undecided & ~found_bits

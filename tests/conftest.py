@@ -227,6 +227,31 @@ def reference_walk(d, s, targets, bounds):
     return found
 
 
+def record_step3_requests(monkeypatch) -> list:
+    """Record each length that step 3 asks about, as (d, s, sorted target genera).
+
+    A long length goes to ``_kernels.long_length_hits`` as a mask of
+    offsets from C(s-1,2), a short one to ``_kernels.search_fixed_both`` as
+    a list of genera; both are read back as genera.
+    """
+    from acmgenera import _kernels
+
+    asked = []
+
+    def search(d, s, targets, _inner=_kernels.search_fixed_both):
+        asked.append((d, s, sorted(set(targets))))
+        return _inner(d, s, targets)
+
+    def long_length(d, s, offsets, _inner=_kernels.long_length_hits):
+        base = (s - 1) * (s - 2) // 2
+        asked.append((d, s, [base + o for o in _kernels._set_bits(offsets)]))
+        return _inner(d, s, offsets)
+
+    monkeypatch.setattr(_kernels, "search_fixed_both", search)
+    monkeypatch.setattr(_kernels, "long_length_hits", long_length)
+    return asked
+
+
 def _load_perfbench(name: str):
     """perfbench/<name>.py, loaded read-only as a module of its own."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

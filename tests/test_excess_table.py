@@ -24,7 +24,7 @@ import acmgenera
 from acmgenera import BudgetError, _kernels, acm_genera, is_admissible, max_genus, min_genus
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.ranges import hole_window
-from conftest import independent_checker, reference_walk
+from conftest import independent_checker, record_step3_requests, reference_walk
 
 
 def _long_lengths(d):
@@ -122,19 +122,14 @@ def test_clear_caches_drops_the_excess_table():
 
 
 def _record_walks(monkeypatch):
-    """Record step 3's requests, each as (d, s, targets), and the kernel's
-    tree walks, each as (d, s, g)."""
-    asked, walked = [], []
-
-    def search(d, s, targets, _inner=_kernels.search_fixed_both):
-        asked.append((d, s, sorted(set(targets))))
-        return _inner(d, s, targets)
+    """Record step 3's requests, each as (d, s, targets), long lengths and
+    short ones alike, and the kernel's tree walks, each as (d, s, g)."""
+    asked, walked = record_step3_requests(monkeypatch), []
 
     def walk(d, s, g, bounds, _inner=_kernels._walk_to):
         walked.append((d, s, g))
         return _inner(d, s, g, bounds)
 
-    monkeypatch.setattr(_kernels, "search_fixed_both", search)
     monkeypatch.setattr(_kernels, "_walk_to", walk)
     return asked, walked
 
@@ -147,14 +142,18 @@ def _short_requests(asked):
 @pytest.mark.parametrize("d, requests", [(30, 8), (57, 13), (100, 17), (150, 20)])
 def test_cold_classification_walks_what_step_3_asks(monkeypatch, d, requests):
     # a tree is walked only for a short-length request, and every length step
-    # 3 asks for at these degrees is long: nothing is walked, and the table
-    # grows once, to the largest excess asked
+    # 3 asks about at these degrees is long: nothing is walked, and the table
+    # grows once, to the largest excess asked.  No hole value is asked, so
+    # d = 150 grows the table to excess 22; without the hole mask it grows to 23
     asked, walked = _record_walks(monkeypatch)
     acmgenera.clear_caches()
     acm_genera(d)
     assert len(asked) == requests
     assert walked == _short_requests(asked) == []
-    _assert_tables_complete(range(max(d - s for d, s, _ in asked) + 1))
+    assert not any(set(hole_window(d, s)) & set(targets) for d, s, targets in asked)
+    largest = max(d - s for d, s, _ in asked)
+    assert largest == {30: 10, 57: 15, 100: 19, 150: 22}[d]
+    _assert_tables_complete(range(largest + 1))
 
 
 def test_warm_ascending_sweep_walks_only_its_short_lengths(monkeypatch):
@@ -170,6 +169,29 @@ def test_warm_ascending_sweep_walks_only_its_short_lengths(monkeypatch):
     assert walked == [(15, 7, 33), (16, 8, 41), (18, 9, 53)]
     assert (counts[70], counts[300]) == (582, 5985)
     _assert_tables_complete(range(max(d - s for d, s, _ in asked if s > d - s) + 1))
+
+
+def test_step3_and_the_per_length_search_apply_one_rule():
+    # step 3 reads a long length as one mask of offsets; what it finds there
+    # is what search_fixed_both finds for that genus alone, and what it
+    # leaves as a gap has no offset in Off(d - s) at any long length s
+    # whose range holds it
+    acmgenera.clear_caches()
+    for d in range(1, 161):
+        cls = acm_genera(d)
+        for g, w in cls.witnesses.items():
+            s = len(w)
+            if s > d - s:
+                assert search_fixed_both(d, s, [g]) == {g: w}, (d, g)
+        searched = 0
+        for c in cls.gaps:
+            if c.reason == "searched":
+                searched |= 1 << c.value
+        for s in _long_lengths(d):
+            k = d - s
+            offsets = (searched >> comb(s - 1, 2)) & ((1 << (comb(k, 2) + 1)) - 1)
+            if offsets:
+                assert not offsets & _kernels._excess_offsets(k), (d, s)
 
 
 def test_long_lengths_read_only_the_tables_bound_table(monkeypatch):

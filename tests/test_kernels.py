@@ -208,6 +208,27 @@ def test_search_fixed_both_at_length_one():
             search_fixed_both(5, s, [0])
 
 
+def test_length_witness_at_length_one():
+    # only d = 1 has a sequence of length 1, as in search_fixed_both
+    assert _kernels.length_witness(1, 1, 0) == (1,)
+    assert _kernels.length_witness(1, 1, 1) is None
+    for d in (2, 5, 40):
+        assert _kernels.length_witness(d, 1, 0) is None, d
+
+
+def test_length_witness_past_the_degree():
+    # no multiplicity-d sequence is longer than d
+    assert _kernels.length_witness(3, 5, 6) is None
+    assert _kernels.length_witness(4, 6, 10) is None
+    assert _kernels.length_witness(5, 6, comb(5, 2)) is None
+
+
+def test_length_witness_below_length_one():
+    for s in (0, -2):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            _kernels.length_witness(5, s, 0)
+
+
 def test_degree_budget_refuses_every_entry_point_before_allocating():
     limit = errors.MAX_DEGREE
     over = limit + 1

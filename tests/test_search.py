@@ -26,6 +26,7 @@ from acmgenera.ranges import closed_max_oseq, hole_window, max_genus, min_genus
 from acmgenera.search import brute_force_length_profile
 from conftest import (
     independent_checker,
+    record_step3_requests,
     reference_genera,
     reference_genera_by_length,
     reference_sequences,
@@ -288,14 +289,8 @@ def test_step2_certificates_and_step3_mask_must_agree(monkeypatch):
 
 
 def test_step3_sends_no_hole_value_to_its_length(monkeypatch):
-    sent = []
-    real = _kernels.search_fixed_both
-
-    def recording(d, s, targets):
-        sent.append((d, s, list(targets)))
-        return real(d, s, targets)
-
-    monkeypatch.setattr(_kernels, "search_fixed_both", recording)
+    # the long lengths' offset masks and the short lengths' target lists alike
+    sent = record_step3_requests(monkeypatch)
     for d in (14, 30, 57, 100):
         clear_caches()
         acm_genera(d)

@@ -21,12 +21,14 @@ def test_the_bound_cache_statistics_the_benchmark_reads_exist():
 
 def test_one_classification_traces_each_step_once_under_its_span():
     # the per-layer metrics read these spans; a step called by another name
-    # or more than once would make them read 0 or double without failing
+    # or more than once would make them read 0 or double without failing.
+    # Step 3 calls search_fixed_both only at a short length, which d = 15
+    # asks about and d = 40 and 100 do not
     tracer_module = benchmark_tracer()
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        for d in (40, 100):
+        for d in (15, 40, 100):
             tracer.spans.clear()
             acmgenera.acm_genera(d)
             names = [span[tracer_module.NAME] for span in tracer.spans]
@@ -34,6 +36,6 @@ def test_one_classification_traces_each_step_once_under_its_span():
             for step in ("ranges.certified_gaps", "continuity.certain_genera"):
                 (i,) = [i for i, name in enumerate(names) if name == step]
                 assert tracer.spans[i][tracer_module.PARENT] == top, (d, step)
-            assert "kernels.search_fixed_both" in names, d
+            assert ("kernels.search_fixed_both" in names) == (d == 15), d
     finally:
         tracer.uninstall()
