@@ -63,6 +63,7 @@ _MEMOS = (
     _kernels._excess_witness,
     ranges._row,
     ranges.certified_runs,
+    ranges._between_rows,
     continuity._plain_masks,
     continuity._certain_mask,
 )
@@ -78,9 +79,12 @@ def clear_caches():
     ``continuity._plain_masks``); the backward excess table of the long
     lengths (``_kernels._excess_table``) and its witnesses by excess and
     offset (``_kernels._excess_witness``); and by length, the rows of
-    genus-maximal sequences (``ranges._row``), and by degree, the runs of
-    closed-form gaps (``ranges.certified_runs``).  This lets a benchmark
-    time cold computations after a warm-up run.
+    genus-maximal sequences (``ranges._row``); by degree, the runs of
+    closed-form gaps (``ranges.certified_runs``); and the between-range
+    certificates by length (``ranges._between_rows``, one dict of rows that
+    every degree slices, about 500,000 certificates after every degree up
+    to 1000).  This lets a benchmark time cold computations after a warm-up
+    run.
     """
     for memo in _MEMOS:
         memo.cache_clear()

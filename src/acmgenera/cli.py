@@ -18,7 +18,7 @@ from ._kernels import MAX_EXHAUSTIVE_DEGREE
 from .continuity import m_sequence
 from .errors import BudgetError, EmptyFamilyError, MembershipError, UnattainableGenusError
 from .macaulay import MAX_TMAX, format_oseq, hilbert_data, is_admissible, parse_oseq
-from .ranges import certified_gaps, range_table
+from .ranges import range_table
 from .regularity import min_acm_regularity
 from .search import acm_genera, brute_force_genera, count_osequences, genus_search
 from .trees import TreeFamily, export_tree, iter_family

@@ -15,7 +15,9 @@ between a range and the next one when those are separated, and the top few
 values of a range ("holes") when they fall below the next range's minimum.
 The holes of a length that a longer length may still reach are not gaps,
 but no sequence of that length attains them, so the classification's
-search at that length leaves them out (:func:`hole_window`).
+search at that length leaves them out (:func:`hole_window`).  A
+between-range certificate depends on its length and value alone, so every
+degree slices those of a length from one shared row.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import threading
 import warnings
 from functools import cache
 from itertools import repeat
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyFamilyError, _check_degree
 from .macaulay import binomial, genus, macaulay_bound
@@ -281,8 +283,20 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     return tuple(runs)
 
 
+@cache
+def _between_rows() -> dict[int, tuple[int, list[GapCertificate]]]:
+    """By length s, ``(lo, row)``: the between-range certificates of s for the values lo .. C(s,2) - 1.
+
+    A between-range certificate ``(v, "between-ranges", s, None)`` does not
+    depend on the degree, and every degree's between-range run at length s
+    ends at C(s,2), so each run is a suffix of the row.  No lock: a row is a
+    pure function of (s, lo), so threads that race only build one twice.
+    """
+    return {}
+
+
 def certified_gaps(d: int) -> list[GapCertificate]:
-    """All gaps certified by closed formulas, sorted by value: :func:`certified_runs`, value by value.
+    """All gaps certified by closed formulas, sorted by value: the runs of :func:`certified_runs`.
 
     Combines the separated-range rule with the hole values that fall
     strictly below the next range's minimum (hole ``i`` is ``top - i``).
@@ -290,11 +304,31 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     between-range intervals are also exactly the integers covered by no
     range at all; the tests hold this set to a reference that computes that
     complement from the exact range endpoints.
+
+    A between-range run is sliced from its length's row in
+    :func:`_between_rows`, shared by every degree and extended downward
+    only when the run starts below it; the hole certificates, whose ``i``
+    depends on the degree, are built per call.  The list is new on every
+    call; the certificates in it are shared.
     """
+    rows = _between_rows()
     out: list[GapCertificate] = []
     for start, stop, reason, s, top in certified_runs(d):
-        i = range(top - start, top - stop, -1) if reason == "hole-always-gap" else repeat(None)
-        # tuple.__new__ builds each GapCertificate without the NamedTuple's per-call __new__
-        out.extend(map(tuple.__new__, repeat(GapCertificate),
-                       zip(range(start, stop), repeat(reason), repeat(s), i)))
+        if reason == "hole-always-gap":
+            out.extend(_certificates(start, stop, reason, s, range(top - start, top - stop, -1)))
+            continue
+        lo, row = rows.get(s, (stop, ()))
+        if start < lo:
+            row = [*_certificates(start, lo, reason, s, repeat(None)), *row]
+            lo = start
+            rows[s] = lo, row
+        out += row[start - lo:] if start > lo else row
     return out
+
+
+def _certificates(
+    start: int, stop: int, reason: str, s: int, i: Iterable[Optional[int]]
+) -> Iterator[GapCertificate]:
+    """The certificates of ``range(start, stop)`` at length ``s``, lazily; ``i`` yields their fourth fields."""
+    # tuple.__new__ builds each GapCertificate without the NamedTuple's per-call __new__
+    return map(tuple.__new__, repeat(GapCertificate), zip(range(start, stop), repeat(reason), repeat(s), i))

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -115,6 +117,14 @@ def test_max_genus_is_the_top_of_the_genus_profile():
         profile = _kernels.length_profile(d)
         for s in range(min(d, 2), d + 1):
             assert max_genus(d, s) == profile[s].bit_length() - 1, (d, s)
+
+
+def test_max_genus_does_not_decrease_with_the_length():
+    # so no short length holds a value above max_genus(d, d//2 + 1), the
+    # closed form C(d//2, 2) + C(d - d//2 - 1, 2) at the first long length
+    for d in range(2, 201):
+        tops = [max_genus(d, s) for s in range(2, d + 1)]
+        assert tops == sorted(tops), d
 
 
 @pytest.mark.parametrize("d", [50, 100, 150])
@@ -280,10 +290,76 @@ def test_certified_gaps_ascend_and_equal_the_two_rules():
 
 
 def test_certified_gaps_equal_the_reference_loop():
-    for d in range(1, 300):
+    # the between-range certificates come from rows shared by every degree:
+    # descending and shuffled orders extend them downward, and a cleared
+    # cache builds each degree's rows alone
+    degrees = list(range(1, 301))
+    expected = {d: reference_certified_gaps(d) for d in degrees}
+    shuffled = degrees[:]
+    random.Random(24).shuffle(shuffled)
+    for order in (degrees, degrees[::-1], shuffled):
+        clear_caches()
+        for d in order:
+            got = certified_gaps(d)
+            assert got == expected[d], d
+            assert all(type(c) is GapCertificate for c in got), d
+        assert ranges._between_rows()  # the degrees filled the shared rows
+    for d in degrees[::-1]:
+        clear_caches()
+        assert certified_gaps(d) == expected[d], d
+
+
+def test_changing_a_returned_certificate_list_changes_no_later_answer():
+    degrees = range(3, 81)
+    clear_caches()
+    expected = {d: (reference_certified_gaps(d), acm_genera(d).gaps[:]) for d in degrees}
+    clear_caches()
+    junk = GapCertificate(-1, "between-ranges", 0)
+    for d in degrees:
         got = certified_gaps(d)
-        assert got == reference_certified_gaps(d), d
-        assert all(type(c) is GapCertificate for c in got), d
+        gaps = acm_genera(d).gaps
+        for returned in (got, gaps):
+            returned.reverse()
+            returned[len(returned) // 2:] = [junk]
+            returned.append(junk)
+    for d in degrees:
+        assert certified_gaps(d) == expected[d][0], d
+        assert acm_genera(d).gaps == expected[d][1], d
+    clear_caches()
+
+
+def test_threads_sharing_the_certificate_rows_agree_with_one_thread():
+    # the rows are read and replaced without a lock; a race may build a row
+    # twice, but every answer and every stored row must stay exact
+    degrees = list(range(3, 161))
+    expected = {d: reference_certified_gaps(d) for d in degrees}
+    orders = [random.Random(i).sample(degrees, len(degrees)) for i in range(6)]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def ask(i):
+        start.wait()
+        results[i] = {d: certified_gaps(d) for d in orders[i]}
+
+    clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(orders)
+    rows = ranges._between_rows()
+    for s, (lo, row) in rows.items():
+        assert row == [GapCertificate(v, "between-ranges", s) for v in range(lo, binomial(s, 2))], s
+    # every length with a between-range run at some degree above has a row
+    assert set(rows) == {s for d in degrees for s in separated_after(d)}
+    clear_caches()
 
 
 def _value_mask(values) -> int:
