@@ -78,13 +78,14 @@ def clear_caches():
     (``continuity._certain_mask``, with the degrees below 32 in
     ``continuity._plain_masks``); the backward excess table of the long
     lengths (``_kernels._excess_table``) and its witnesses by excess and
-    offset (``_kernels._excess_witness``); and by length, the rows of
-    genus-maximal sequences (``ranges._row``); by degree, the runs of
-    closed-form gaps (``ranges.certified_runs``); and the between-range
-    certificates by length (``ranges._between_rows``, one dict of rows that
-    every degree slices, about 500,000 certificates after every degree up
-    to 1000).  This lets a benchmark time cold computations after a warm-up
-    run.
+    offset (``_kernels._excess_witness``); and by length, the rows of top
+    genera at the short lengths, each resumed from its generator
+    (``ranges._row``); by degree, the runs of closed-form gaps
+    (``ranges.certified_runs``); and the between-range certificates by
+    length (``ranges._between_rows``, one dict of rows that every degree
+    slices, each ending at C(s,2) so that its length gives its lowest
+    value, about 500,000 certificates after every degree up to 1000).  This
+    lets a benchmark time cold computations after a warm-up run.
     """
     for memo in _MEMOS:
         memo.cache_clear()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from operator import or_
 from typing import Iterator
@@ -377,7 +377,9 @@ def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple
     Returns (the hit mask, {genus: witness} in ascending genus).  The
     table grows as about K^5 in the largest excess K asked, and an excess
     above ``MAX_EXCESS`` raises :class:`BudgetError` before any row is
-    built; K = 57 serves every degree up to ``MAX_DEGREE``.
+    built; K = 57 serves every request of a classification's step 3 up to
+    ``MAX_DEGREE``, but not every long length: k = d - s reaches 499 at
+    the degree budget.
     """
     k = d - s
     hits = offsets & _excess_offsets(k)
@@ -398,9 +400,11 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     requests of a warm ascending sweep of every degree up to 1000.
 
     A long length, s >= d//2 + 1, is answered by :func:`long_length_hits`
-    from the backward excess table, which serves every degree; step 3
-    calls that rule directly with its pending offsets and does not come
-    here.
+    from the backward excess table, so an excess k = d - s above
+    ``MAX_EXCESS`` raises :class:`BudgetError`; step 3 calls that rule
+    directly with its pending offsets, all within the limit, and does not
+    come here.  A single genus past the limit is for :func:`length_witness`,
+    which walks for it instead.
     """
     _check_degree(d)
     if s < 1:
@@ -492,11 +496,7 @@ def _profile_prefix(d: int, s: int) -> list[int]:
     """
     masks, layers, lock = _profile(d)
     with lock:
-        while len(masks) <= s:
-            m = next(layers, None)
-            if m is None:
-                break
-            masks.append(m)
+        masks.extend(islice(layers, max(0, s + 1 - len(masks))))
     return masks
 
 
@@ -515,8 +515,11 @@ def _lengths_of(d: int, g: int) -> Iterator[int]:
 
     A length-s sequence has genus at least C(s-1, 2), so the profile is
     built only up to the length last asked for, and never past the last
-    length whose least genus is at most g.
+    length whose least genus is at most g.  No sequence of multiplicity d
+    has a genus above C(d-1, 2), so such a g builds nothing.
     """
+    if g > (d - 1) * (d - 2) // 2:
+        return
     s = 1
     while s <= d and (s - 1) * (s - 2) // 2 <= g:
         if _profile_prefix(d, s)[s] >> g & 1:

@@ -6,9 +6,11 @@ Restricting the h-vector length to ``s`` confines it further to the
 ``s >= d//2 + 1``, the maximum is the closed form ``C(s-1,2) + C(d-s,2)``,
 attained by ``(1, 2^(d-s), 1^(2s-d-1))``.  At a shorter length it comes from
 an exact one-unit-per-step recursion in the multiplicity, kept as one row per
-length: the positions incremented and the running genus, extended on demand,
-so every degree shares the steps of the smaller ones and ``max_genus`` is a
-lookup.  :func:`max_genus` and :func:`max_oseq` alone choose between the two.
+length: the top genera so far, resumed from a generator on demand, so every
+degree shares the steps of the smaller ones and ``max_genus`` is a lookup; a
+step's raised index is its genus difference plus one, so ``max_oseq`` reads
+its sequence back from the same row.  :func:`max_genus` and :func:`max_oseq`
+alone choose between the two.
 
 Two closed-form rules certify gaps without any search: the integers strictly
 between a range and the next one when those are separated, and the top few
@@ -17,14 +19,15 @@ The holes of a length that a longer length may still reach are not gaps,
 but no sequence of that length attains them, so the classification's
 search at that length leaves them out (:func:`hole_window`).  A
 between-range certificate depends on its length and value alone, so every
-degree slices those of a length from one shared row.
+degree slices those of a length from one shared row; every such row ends at
+C(s,2), so its lowest value follows from its length.
 """
 from __future__ import annotations
 
 import threading
 import warnings
 from functools import cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyFamilyError, _check_degree
@@ -49,63 +52,44 @@ def min_oseq(d: int, s: int) -> tuple[int, ...]:
     return (1, d - s + 1) + (1,) * (s - 2)
 
 
-class _MaxRow:
-    """The genus-maximal sequences of one length s, one multiplicity at a time.
+def _max_genera(s: int) -> Iterator[int]:
+    """The top genus of length s at multiplicities s, s + 1, and so on.
 
-    ``steps[m - s - 1]`` is the position incremented to go from multiplicity
-    m - 1 to m, and ``genera[m - s]`` is the genus at multiplicity m.  ``h``
-    is the sequence at the last multiplicity reached and ``last`` the highest
-    index holding an entry >= 2 (0 while there is none).  ``lock`` guards
-    :meth:`extend_to`.
+    Each step increments the highest index that keeps the sequence
+    admissible (position 1 is always legal) and raises the genus by that
+    index minus 1.  ``last`` is the highest index holding an entry >= 2 (0
+    while there is none); every entry past it is 1 and macaulay_bound(1, t)
+    = 1, so no index above ``last + 1`` can pass and the scan starts there.
     """
-
-    __slots__ = ("h", "steps", "genera", "last", "lock")
-
-    def __init__(self, s: int):
-        self.h = [1] * s
-        self.steps: list[int] = []
-        self.genera = [binomial(s - 1, 2)]
-        self.last = 0
-        self.lock = threading.Lock()
-
-    def extend_to(self, d: int):
-        """Take the row on to multiplicity ``d``.
-
-        Each step increments the highest index that keeps the sequence
-        admissible (position 1 is always legal).  Every entry past ``last``
-        is 1 and macaulay_bound(1, t) = 1, so no index above ``last + 1``
-        can pass and the scan starts there.
-        """
-        h, steps, genera = self.h, self.steps, self.genera
-        s = len(h)
-        for _ in range(len(steps) + s, d):
-            i = min(s - 1, self.last + 1)
-            while i > 1 and h[i] + 1 > macaulay_bound(h[i - 1], i - 1):
-                i -= 1
-            h[i] += 1
-            if i > self.last:
-                self.last = i
-            steps.append(i)
-            genera.append(genera[-1] + i - 1)
+    h, g, last = [1] * s, binomial(s - 1, 2), 0
+    while True:
+        yield g
+        i = min(s - 1, last + 1)
+        while i > 1 and h[i] + 1 > macaulay_bound(h[i - 1], i - 1):
+            i -= 1
+        h[i] += 1
+        if i > last:
+            last = i
+        g += i - 1
 
 
 @cache
-def _row(s: int) -> _MaxRow:
-    """The length-s row, kept across degrees."""
-    return _MaxRow(s)
+def _row(s: int) -> tuple[list[int], Iterator[int], threading.Lock]:
+    """The length-s row so far, kept across degrees: (genera, the generator to resume, its lock)."""
+    return [], _max_genera(s), threading.Lock()
 
 
-def _max_row(d: int, s: int) -> _MaxRow:
-    """The length-s row, extended through multiplicity ``d``; asked for only at s <= d//2."""
+def _max_row(d: int, s: int) -> list[int]:
+    """The top genera of length s through multiplicity ``d``; asked for only at s <= d//2."""
     if s < 2:
         raise EmptyFamilyError(f"no O-sequence of length {s} has multiplicity {d}")
     if d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
     _check_degree(d)
-    row = _row(s)
-    with row.lock:
-        row.extend_to(d)
-    return row
+    genera, rest, lock = _row(s)
+    with lock:
+        genera.extend(islice(rest, max(0, d - s + 1 - len(genera))))
+    return genera
 
 
 def max_oseq(d: int, s: int) -> tuple[int, ...]:
@@ -114,16 +98,17 @@ def max_oseq(d: int, s: int) -> tuple[int, ...]:
     At ``d//2 + 1 <= s <= d`` it is the closed form :func:`closed_max_oseq`.
     Below, it is built one multiplicity at a time from ``(1^s)``: each step
     increments the entry at the highest index that keeps the sequence
-    admissible (position 1 is always legal).  One row per length keeps the
-    steps, so a degree reuses those of smaller degrees.
+    admissible (position 1 is always legal), so the genus rises by that
+    index minus 1.  Each step is read back from the length-s row of top
+    genera, which every degree shares, as its genus difference plus one.
     """
     if d // 2 + 1 <= s <= d:
         _check_degree(d)
         return closed_max_oseq(d, s)
-    row = _max_row(d, s)
+    genera = _max_row(d, s)
     h = [1] * s
-    for i in row.steps[: d - s]:
-        h[i] += 1
+    for g, g_next in zip(genera, islice(genera, 1, d - s + 1)):
+        h[g_next - g + 1] += 1
     return tuple(h)
 
 
@@ -136,7 +121,7 @@ def max_genus(d: int, s: int) -> int:
     if d // 2 + 1 <= s <= d:
         _check_degree(d)
         return closed_max_genus(d, s)
-    return _max_row(d, s).genera[d - s]
+    return _max_row(d, s)[d - s]
 
 
 def closed_max_genus(d: int, s: int) -> int:
@@ -284,13 +269,14 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
 
 
 @cache
-def _between_rows() -> dict[int, tuple[int, list[GapCertificate]]]:
-    """By length s, ``(lo, row)``: the between-range certificates of s for the values lo .. C(s,2) - 1.
+def _between_rows() -> dict[int, list[GapCertificate]]:
+    """By length s, the between-range certificates of s for the values C(s,2) - len(row) .. C(s,2) - 1.
 
     A between-range certificate ``(v, "between-ranges", s, None)`` does not
     depend on the degree, and every degree's between-range run at length s
-    ends at C(s,2), so each run is a suffix of the row.  No lock: a row is a
-    pure function of (s, lo), so threads that race only build one twice.
+    ends at C(s,2), so each run is a suffix of the row and the row's lowest
+    value follows from its length.  No lock: a row is a pure function of its
+    length and lowest value, so threads that race only build one twice.
     """
     return {}
 
@@ -317,11 +303,11 @@ def certified_gaps(d: int) -> list[GapCertificate]:
         if reason == "hole-always-gap":
             out.extend(_certificates(start, stop, reason, s, range(top - start, top - stop, -1)))
             continue
-        lo, row = rows.get(s, (stop, ()))
+        row = rows.get(s, ())
+        lo = stop - len(row)
         if start < lo:
-            row = [*_certificates(start, lo, reason, s, repeat(None)), *row]
+            row = rows[s] = [*_certificates(start, lo, reason, s, repeat(None)), *row]
             lo = start
-            rows[s] = lo, row
         out += row[start - lo:] if start > lo else row
     return out
 

@@ -21,7 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acmgenera
-from acmgenera import BudgetError, _kernels, acm_genera, is_admissible, max_genus, min_genus
+from acmgenera import (
+    BudgetError,
+    TreeFamily,
+    _kernels,
+    acm_genera,
+    genus,
+    genus_search,
+    is_admissible,
+    max_genus,
+    min_genus,
+    multiplicity,
+)
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.ranges import hole_window
 from conftest import independent_checker, record_step3_requests, reference_walk
@@ -231,6 +242,17 @@ def test_an_oversized_table_is_refused_before_it_is_built():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 1 << 20  # peak bytes allocated by the refused request
+
+
+@pytest.mark.parametrize("d, s, offset", [(1000, 501, 1), (1000, 501, 300), (1000, 600, 500)])
+def test_single_queries_past_the_excess_limit_walk(d, s, offset):
+    # k = 499 and 400 lie far past MAX_EXCESS: search_fixed_both's table
+    # refuses them, but a single query walks for its one genus and answers
+    assert d - s > _kernels.MAX_EXCESS
+    g = comb(s - 1, 2) + offset
+    w = genus_search(g, TreeFamily.fixed_both(d, s))
+    assert w is not None and is_admissible(w), (d, s, offset)
+    assert (multiplicity(w), len(w), genus(w)) == (d, s, g)
 
 
 def test_the_excess_limit_holds_however_the_table_grew(monkeypatch):

@@ -102,4 +102,4 @@ def test_threads_resuming_one_profile_and_one_row_agree_with_one_thread():
     assert results == [expected] * len(orders)
     # two unlocked extensions of one row would both run, past the last degree asked
     last = {s: d for d, s in rows}
-    assert {s: len(ranges._row(s).genera) for s in last} == {s: d - s + 1 for s, d in last.items()}
+    assert {s: len(ranges._row(s)[0]) for s in last} == {s: d - s + 1 for s, d in last.items()}

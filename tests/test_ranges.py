@@ -37,6 +37,7 @@ from conftest import (
     reference_certified_gaps,
     reference_genera_by_length,
     reference_sequences,
+    reference_walk,
 )
 
 
@@ -101,12 +102,12 @@ def test_recursion_matches_the_closed_form_at_long_lengths():
     # recursion under test on the lengths where the two must agree
     for d in range(4, 61):
         for s in range(d // 2 + 1, d + 1):
-            row = ranges._max_row(d, s)
+            genera = ranges._max_row(d, s)
             h = [1] * s
-            for i in row.steps[: d - s]:
-                h[i] += 1
+            for m in range(d - s):  # each step raises the index one above its genus difference
+                h[genera[m + 1] - genera[m] + 1] += 1
             assert tuple(h) == closed_max_oseq(d, s), (d, s)
-            assert row.genera[d - s] == closed_max_genus(d, s), (d, s)
+            assert genera[d - s] == closed_max_genus(d, s), (d, s)
     clear_caches()
 
 
@@ -130,8 +131,8 @@ def test_max_genus_does_not_decrease_with_the_length():
 @pytest.mark.parametrize("d", [50, 100, 150])
 def test_classification_builds_max_genus_rows_only_below_the_long_lengths(monkeypatch, d):
     built = []
-    real = ranges._MaxRow
-    monkeypatch.setattr(ranges, "_MaxRow", lambda s: built.append(s) or real(s))
+    real = ranges._max_genera
+    monkeypatch.setattr(ranges, "_max_genera", lambda s: built.append(s) or real(s))
     clear_caches()
     acm_genera(d)
     assert built and max(built) <= d // 2
@@ -146,6 +147,26 @@ def test_extremes_against_enumeration():
             seqs = [h for h in reference_sequences(d) if len(h) == s]
             top = max_oseq(d, s)
             assert all(h == top or total_compare(h, top) == -1 for h in seqs), (d, s)
+
+
+def test_short_length_tops_are_the_walk_witness():
+    # max_oseq rebuilds a short length's top from the row's genus differences;
+    # the reference walk finds the first vertex of that genus on its own
+    for d in range(4, 46):
+        bounds = _kernels.bound_table(d)
+        for s in range(2, d // 2 + 1):
+            top = max_genus(d, s)
+            assert reference_walk(d, s, [top], bounds) == {top: max_oseq(d, s)}, (d, s)
+
+
+def test_short_length_tops_have_one_sequence():
+    # checked by enumeration only: no top-genus shortcut rests on it at short lengths
+    for d in range(4, 19):
+        for s in range(2, d // 2 + 1):
+            top = max_genus(d, s)
+            assert [h for h in reference_sequences(d) if len(h) == s and genus(h) == top] == [
+                max_oseq(d, s)
+            ], (d, s)
 
 
 def test_max_rows_do_not_depend_on_order():
@@ -355,7 +376,8 @@ def test_threads_sharing_the_certificate_rows_agree_with_one_thread():
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(orders)
     rows = ranges._between_rows()
-    for s, (lo, row) in rows.items():
+    for s, row in rows.items():
+        lo = binomial(s, 2) - len(row)
         assert row == [GapCertificate(v, "between-ranges", s) for v in range(lo, binomial(s, 2))], s
     # every length with a between-range run at some degree above has a row
     assert set(rows) == {s for d in degrees for s in separated_after(d)}

@@ -47,6 +47,15 @@ def test_genus_search_examples():
         genus_search(-1, TreeFamily.fixed_multiplicity(7))
 
 
+def test_a_genus_above_every_length_builds_no_profile():
+    # C(d-1,2) is the largest genus of a degree, so a fixed-multiplicity
+    # search above it returns at once instead of building every length's profile
+    for d in (1, 2, 30, 500):
+        clear_caches()
+        assert genus_search(comb(d - 1, 2) + 1, TreeFamily.fixed_multiplicity(d)) is None, d
+        assert _kernels._profile.cache_info().currsize == 0, d
+
+
 def test_genus_search_returns_first_preorder_witness():
     # the pruned search must return exactly the first vertex of the target
     # genus in depth-first preorder, for every family kind
