@@ -1,12 +1,13 @@
 """Hot search kernels: one pruned tree walk, the backward excess table, the
 exhaustive enumeration and the per-length genus profile.
 
-One depth-first walk looks for one genus in the fixed-(d, s) tree;
-:func:`length_witness` is the rule for one genus at one length, which the
-batch search applies at each short length, and a fixed-multiplicity search
-is that rule at the lengths the degree's genus profile marks.  The walk and
-the exhaustive enumeration are explicit-stack loops over plain lists, reading
-the growth bound from a per-degree table of
+:func:`length_witness` is the rule for one genus at one length: the batch
+search applies it at each short length, a fixed-multiplicity search applies
+it at the lengths the degree's genus profile marks, and
+:func:`search_fixed_both` applies it to each genus of a list.  At a short
+length it is one depth-first walk for that genus in the fixed-(d, s) tree.
+The walk and the exhaustive enumeration are explicit-stack loops over plain
+lists, reading the growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
 
@@ -17,8 +18,9 @@ the hits get witnesses.  Off(k) comes from one backward table of suffix
 offsets that depends on neither k nor d: it grows with the largest excess
 asked, and a greedy pass over it builds each witness, so the answers do not
 depend on which requests came before.  A classification's step 3 calls
-that rule directly, one mask per long length; :func:`search_fixed_both`
-calls it for a long length asked as a list of genera.
+that rule directly, one mask per long length, and :func:`length_witness`
+calls it for one offset; only an excess past ``MAX_EXCESS``, where the
+table is refused, is walked.
 """
 from __future__ import annotations
 
@@ -390,54 +392,34 @@ def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s.
 
-    No sequence of multiplicity d is longer than d, so s > d finds nothing,
-    and only d = 1 has one of length 1; a length below 1 raises ValueError.
-
-    A short length, s <= d - s, asks :func:`length_witness` once per
-    target, the rule every single-genus query applies.  A classification's
-    step 3 sends only three requests here, each with one target:
-    (15, 7, [33]), (16, 8, [41]) and (18, 9, [53]), the only short-length
-    requests of a warm ascending sweep of every degree up to 1000.
-
-    A long length, s >= d//2 + 1, is answered by :func:`long_length_hits`
-    from the backward excess table, so an excess k = d - s above
-    ``MAX_EXCESS`` raises :class:`BudgetError`; step 3 calls that rule
-    directly with its pending offsets, all within the limit, and does not
-    come here.  A single genus past the limit is for :func:`length_witness`,
-    which walks for it instead.
+    The per-length rule :func:`length_witness` applied to each target, in
+    ascending order, at every length; a length below 1 raises ValueError.  A
+    classification's step 3 sends only three requests here, each with one
+    target: (15, 7, [33]), (16, 8, [41]) and (18, 9, [53]), the only
+    short-length requests of a warm ascending sweep of every degree up to
+    1000; step 3 reads its long lengths from :func:`long_length_hits`
+    directly, one mask of offsets per length.
     """
     _check_degree(d)
     if s < 1:
         raise ValueError("length must be >= 1")
-    tlist = sorted({int(g) for g in targets})
-    if not tlist or s > d or (s == 1 and d > 1):
-        return {}
-    k = d - s
-    if s <= k:  # a short length: the tree depends on d
-        found = ((g, length_witness(d, s, g)) for g in tlist)
-        return {g: w for g, w in found if w is not None}
-    base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2
-    offsets = 0
-    for g in tlist:
-        if 0 <= g - base <= top:
-            offsets |= 1 << (g - base)
-    return long_length_hits(d, s, offsets)[1] if offsets else {}
+    found = ((g, length_witness(d, s, g)) for g in sorted({int(g) for g in targets}))
+    return {g: w for g, w in found if w is not None}
 
 
 def length_witness(d: int, s: int, g: int):
     """First vertex of genus ``g`` in the fixed-(d, s) tree's preorder, or None.
 
-    As in :func:`search_fixed_both`, s > d and s == 1 < d hold no sequence
-    and return None, and a length below 1 raises ValueError.  A genus above
-    ``max_genus(d, s)`` or in the length's ``hole_window`` returns None,
-    and at a long length, s >= d//2 + 1, the top genus returns
-    ``max_oseq(d, s)``, the only sequence with that genus: each of these
-    would otherwise walk nearly the whole tree.  Any other genus is looked
-    for by one walk, :func:`_walk_to`, pruned at ``g``, and not through the
-    excess table of :func:`long_length_hits`: that table holds every offset
-    of every excess up to the one asked, about K^5 bits at excess K, and a
-    single query past ``MAX_EXCESS`` (up to k = 499 at the degree budget)
-    would be refused where a walk of a small offset answers at once.
+    No sequence of multiplicity d is longer than d, so s > d holds none, and
+    only d = 1 has one of length 1; a length below 1 raises ValueError.  A
+    genus above ``max_genus(d, s)`` or in the length's ``hole_window``
+    returns None without a search.  At a long length, s >= d//2 + 1, whose
+    excess k = d - s is at most ``MAX_EXCESS``, the answer is step 3's rule,
+    :func:`long_length_hits` asked for the one offset g - C(s-1,2).  Past
+    that limit (up to k = 499 at the degree budget) the table would be
+    refused, so the top genus returns ``max_oseq(d, s)``, the only sequence
+    with that genus, and any other genus, like every genus of a short
+    length, is looked for by one walk, :func:`_walk_to`, pruned at ``g``.
     """
     if s < 1:
         raise ValueError("length must be >= 1")
@@ -446,7 +428,11 @@ def length_witness(d: int, s: int, g: int):
     top = max_genus(d, s)
     if g > top or g in hole_window(d, s):
         return None
-    if g == top and s > d // 2:
+    k = d - s
+    if k < s and k <= MAX_EXCESS:
+        o = g - (s - 1) * (s - 2) // 2
+        return long_length_hits(d, s, 1 << o)[1].get(g) if o >= 0 else None
+    if g == top and k < s:
         return max_oseq(d, s)
     return _walk_to(d, s, g, bound_table(d))
 
@@ -495,8 +481,9 @@ def _profile_prefix(d: int, s: int) -> list[int]:
     for the long ones.
     """
     masks, layers, lock = _profile(d)
-    with lock:
-        masks.extend(islice(layers, max(0, s + 1 - len(masks))))
+    if len(masks) <= s:
+        with lock:
+            masks.extend(islice(layers, max(0, s + 1 - len(masks))))
     return masks
 
 

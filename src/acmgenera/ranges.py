@@ -57,20 +57,23 @@ def _max_genera(s: int) -> Iterator[int]:
 
     Each step increments the highest index that keeps the sequence
     admissible (position 1 is always legal) and raises the genus by that
-    index minus 1.  ``last`` is the highest index holding an entry >= 2 (0
-    while there is none); every entry past it is 1 and macaulay_bound(1, t)
-    = 1, so no index above ``last + 1`` can pass and the scan starts there.
+    index minus 1.  Bit j of ``grow`` says whether h_j can be incremented,
+    h_j + 1 <= macaulay_bound(h_{j-1}, j - 1), so the index is
+    ``grow.bit_length() - 1``.  Raising h_i changes that test only at i,
+    whose entry grew, and at i + 1, whose bound grew, so only those two
+    bits are tested again.
     """
-    h, g, last = [1] * s, binomial(s - 1, 2), 0
+    h, g, grow = [1] * s, binomial(s - 1, 2), 0b10
     while True:
         yield g
-        i = min(s - 1, last + 1)
-        while i > 1 and h[i] + 1 > macaulay_bound(h[i - 1], i - 1):
-            i -= 1
+        i = grow.bit_length() - 1
         h[i] += 1
-        if i > last:
-            last = i
         g += i - 1
+        for j in range(max(i, 2), min(i + 2, s)):
+            if h[j] + 1 <= macaulay_bound(h[j - 1], j - 1):
+                grow |= 1 << j
+            else:
+                grow &= ~(1 << j)
 
 
 @cache
@@ -87,8 +90,9 @@ def _max_row(d: int, s: int) -> list[int]:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
     _check_degree(d)
     genera, rest, lock = _row(s)
-    with lock:
-        genera.extend(islice(rest, max(0, d - s + 1 - len(genera))))
+    if len(genera) <= d - s:
+        with lock:
+            genera.extend(islice(rest, max(0, d - s + 1 - len(genera))))
     return genera
 
 

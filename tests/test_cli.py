@@ -26,7 +26,7 @@ from acmgenera import (
 )
 from acmgenera._kernels import length_profile, search_fixed_both
 from acmgenera.ranges import closed_max_oseq, genus_range
-from conftest import reference_sequences
+from conftest import independent_checker, reference_sequences
 
 
 def run_cli(args, capsys):
@@ -302,6 +302,19 @@ def test_search_at_a_long_shortest_length_answers_within_seconds():
     per_length = [search_fixed_both(d, s, [g])[g] for s in range(d + 1) if profile[s] >> g & 1]
     best = max(per_length, key=lambda w: w[2:] + (0,) * (d - len(w)))
     assert result.stdout.strip() == ",".join(map(str, best))
+
+
+def test_single_queries_at_long_lengths_answer_from_the_excess_table():
+    # each walked a fixed-(200, s) tree for minutes; the lengths they ask at
+    # are long, with excess at most MAX_EXCESS, so the excess table answers
+    checker = independent_checker()
+    for args, s in ((["search", "200", "10181"], None), (["search", "200", "10103", "--length", "120"], 120)):
+        result = subprocess.run(
+            [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=20
+        )
+        assert result.returncode == 0, (args, result.stderr)
+        witness = tuple(map(int, result.stdout.strip().split(",")))
+        assert checker.witness_problems(200, int(args[2]), witness, s=s) == [], args
 
 
 def test_cache_environment_variable_cannot_change_an_answer(tmp_path):

@@ -1,4 +1,4 @@
-"""The backward excess table behind ``search_fixed_both`` at long lengths.
+"""The backward excess table behind step 3 and ``length_witness`` at long lengths.
 
 At s >= d//2 + 1 the fixed-(d, s) tree depends only on the excess k = d - s,
 so one table of suffix offsets, which grows with the largest excess asked,
@@ -111,14 +111,15 @@ def test_requests_sharing_an_excess_answer_as_the_direct_walk(data):
         label="requests",
     )
     acmgenera.clear_caches()
-    asked = set()  # a request with no target in the range builds no table
+    # a request with no target in the range, or only hole values, builds no table
+    asked = set()
     for d, offsets in requests:
         s = d - k
         targets = sorted(comb(s - 1, 2) + o for o in offsets)
         found = reference_walk(d, s, targets, bound_table(d))
         expected = [(g, found[g]) for g in targets if g in found]
         assert list(search_fixed_both(d, s, targets).items()) == expected, (d, s, targets)
-        if any(0 <= o <= comb(k, 2) for o in offsets):
+        if any(g in _whole_range(d, s) and g not in hole_window(d, s) for g in targets):
             asked.add(k)
         _assert_tables_complete(asked)
 
@@ -223,20 +224,26 @@ def test_long_lengths_read_only_the_tables_bound_table(monkeypatch):
 
 def test_an_oversized_table_is_refused_before_it_is_built():
     # k = 499, the largest excess a degree allows: the table would take
-    # terabytes, and the whole walk it replaced never ended
+    # terabytes, so its owner refuses the mask before it builds a row, and a
+    # list of genera there walks for each one instead
     acmgenera.clear_caches()
     acm_genera(60)
     built = len(_kernels._excess_table()[2])
     with pytest.raises(BudgetError, match="excess table"):
-        search_fixed_both(1000, 501, [comb(500, 2) + 1])
+        _kernels.long_length_hits(1000, 501, 1 << 1)
     assert len(_kernels._excess_table()[2]) == built
     assert 57 <= _kernels.MAX_EXCESS
+    g = comb(500, 2) + 1
+    found = search_fixed_both(1000, 501, [g])
+    assert list(found) == [g]
+    assert independent_checker().witness_problems(1000, g, found[g], s=501) == []
+    assert len(_kernels._excess_table()[2]) == built
     # in a child, so that a table built after all fails by the timeout; the
     # child's ru_maxrss would also count the test process it was forked from
     code = (
-        "import tracemalloc; from math import comb; from acmgenera import BudgetError, _kernels\n"
+        "import tracemalloc; from acmgenera import BudgetError, _kernels\n"
         "tracemalloc.start()\n"
-        "try:\n    _kernels.search_fixed_both(1000, 501, [comb(500, 2) + 1])\n"
+        "try:\n    _kernels.long_length_hits(1000, 501, 1 << 1)\n"
         "except BudgetError:\n    print(tracemalloc.get_traced_memory()[1])\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
@@ -246,8 +253,8 @@ def test_an_oversized_table_is_refused_before_it_is_built():
 
 @pytest.mark.parametrize("d, s, offset", [(1000, 501, 1), (1000, 501, 300), (1000, 600, 500)])
 def test_single_queries_past_the_excess_limit_walk(d, s, offset):
-    # k = 499 and 400 lie far past MAX_EXCESS: search_fixed_both's table
-    # refuses them, but a single query walks for its one genus and answers
+    # k = 499 and 400 lie far past MAX_EXCESS: the excess table refuses
+    # them, so a single query walks for its one genus and answers
     assert d - s > _kernels.MAX_EXCESS
     g = comb(s - 1, 2) + offset
     w = genus_search(g, TreeFamily.fixed_both(d, s))
