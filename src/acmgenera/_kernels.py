@@ -166,12 +166,14 @@ def _length_profile_impl(d, bounds):
     bound is increasing in v, so with one u's nonempty states taken in
     descending v, the values w in (bounds[t][v'], bounds[t][v]], v' the
     next state below v, follow exactly the states seen so far: a running OR
-    hands each target state its mask in one shift, and the states that can
-    close are a prefix.  Only nonempty states are kept.
+    hands each target state its mask in one shift.  Only nonempty states
+    are kept.  Closing appends w = d - u, which lies in exactly one state's
+    interval; there the running OR holds every state that can close, so the
+    pass that builds layer t + 1 also collects the sequences of length t + 2.
 
     Yields masks[0], masks[1], ..., masks[d], the same masks as
     :func:`_brute_force_impl` returns.  Layer t yields its closed length
-    t + 2 before it builds layer t + 1, so a caller that needs only the
+    t + 2 once it has built layer t + 1, so a caller that needs only the
     short lengths stops the program early.
     """
     yield 0
@@ -184,15 +186,6 @@ def _length_profile_impl(d, bounds):
     for t in range(1, d - 1):
         row_b = bounds[t]
         closed = 0
-        for u in range(t + 1, d):
-            room = d - u
-            acc = 0
-            for v, m in states[u]:
-                if row_b[v] < room:
-                    break
-                acc |= m
-            closed |= acc << (t * room)
-        yield closed
         nxt = [[] for _ in range(d)]
         for u in range(t + 1, d):
             row = states[u]
@@ -203,15 +196,17 @@ def _length_profile_impl(d, bounds):
                 v, m = row[i]
                 acc |= m
                 lo = row_b[row[i + 1][0]] + 1 if i + 1 < n else 1
-                if lo >= room:
+                if lo > room:
                     continue
                 hi = row_b[v]
                 if hi >= room:
                     hi = room - 1
+                    closed |= acc << (t * room)
                 m = acc << (t * lo)
                 for w in range(lo, hi + 1):
                     nxt[u + w].append((w, m))  # sources run up in u, so w runs down
                     m <<= t
+        yield closed
         states = nxt
 
 
@@ -286,6 +281,8 @@ def _excess_offsets(k: int) -> int:
     if k > MAX_EXCESS:
         raise BudgetError(f"the excess table through k={k} exceeds the budget (limit {MAX_EXCESS})")
     R, P, off, state, lock = _excess_table()
+    if k < len(off):  # off[k] is appended once its rows are built, so a warm read needs no lock
+        return off[k]
     with lock:
         if k >= len(off):
             tab = bound_table(k + 2)

@@ -21,7 +21,7 @@ from .macaulay import MAX_TMAX, format_oseq, hilbert_data, is_admissible, parse_
 from .ranges import range_table
 from .regularity import min_acm_regularity
 from .search import acm_genera, brute_force_genera, count_osequences, genus_search
-from .trees import TreeFamily, export_tree, iter_family
+from .trees import TreeFamily, export_dot, export_json, iter_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,43 +36,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit_json(obj):
-    import json
+def _print(fmt: str, record, lines) -> int:
+    """Print ``record`` as sorted-key JSON when ``fmt`` is "json", else each of ``lines``.
 
-    print(json.dumps(obj, sort_keys=True))
+    A command derives its text ``lines`` from the record it builds; they are
+    read only for text, so a generator costs nothing under JSON.
+    """
+    if fmt == "json":
+        import json
+
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK
 
 
-def _classification_json(cls):
-    return {
-        "d": cls.d,
-        "genera": cls.genera.to_list(),
-        "gaps": cls.gap_values(),
-        "stats": dict(sorted(cls.stats.items())),
-        "witnesses": {str(g): format_oseq(h) for g, h in sorted(cls.witnesses.items())},
-    }
+def _genera_lines(record):
+    """The text of a ``genera`` record: a summary, the genera, the gaps, one line per witness."""
+    stats = record["stats"]
+    yield (
+        f"d={record['d']} |R|={comb(record['d'] - 1, 2) + 1} genera={len(record['genera'])} "
+        f"gaps={len(record['gaps'])} certain={stats['certain_genera']} "
+        f"certain_gaps={stats['certain_gaps']} searched={stats['searched']}"
+    )
+    yield "genera: " + ",".join(map(str, record["genera"]))
+    yield "gaps: " + ",".join(map(str, record["gaps"]))
+    yield from (f"witness {g}: {h}" for g, h in record["witnesses"].items())
+    if "oracle" in record:
+        yield "oracle: ok"
 
 
 def _cmd_genera(args) -> int:
     # the oracle runs first, so a degree past its budget exits 3 before classifying
     reference = brute_force_genera(args.d) if args.oracle else None
     cls = acm_genera(args.d)
-    oracle_ok = None
-    if args.oracle:
-        oracle_ok = reference == cls.genera
-        if not oracle_ok:
-            onlyref = sorted(set(reference) - set(cls.genera))
-            onlycls = sorted(set(cls.genera) - set(reference))
-            print(
-                f"oracle mismatch for d={args.d}: missing={onlyref} spurious={onlycls}",
-                file=sys.stderr,
-            )
-            return EXIT_DOMAIN
-    if args.format == "json":
-        payload = _classification_json(cls)
-        if oracle_ok is not None:
-            payload["oracle"] = "ok"
-        _emit_json(payload)
-    elif args.format == "csv":
+    if args.oracle and reference != cls.genera:
+        onlyref = sorted(set(reference) - set(cls.genera))
+        onlycls = sorted(set(cls.genera) - set(reference))
+        print(f"oracle mismatch for d={args.d}: missing={onlyref} spurious={onlycls}", file=sys.stderr)
+        return EXIT_DOMAIN
+    if args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -81,40 +85,26 @@ def _cmd_genera(args) -> int:
             status = "genus" if value in cls.genera else "gap"
             witness = format_oseq(cls.witnesses[value]) if value in cls.witnesses else ""
             writer.writerow([value, status, cls.provenance_of(value), witness])
-    else:
-        stats = cls.stats
-        print(
-            f"d={cls.d} |R|={comb(cls.d - 1, 2) + 1} genera={len(cls.genera)} "
-            f"gaps={len(cls.gaps)} certain={stats['certain_genera']} "
-            f"certain_gaps={stats['certain_gaps']} searched={stats['searched']}"
-        )
-        print("genera: " + ",".join(str(g) for g in cls.genera))
-        print("gaps: " + ",".join(str(v) for v in cls.gap_values()))
-        for g, h in sorted(cls.witnesses.items()):
-            print(f"witness {g}: {format_oseq(h)}")
-        if oracle_ok is not None:
-            print("oracle: ok")
-    return EXIT_OK
+        return EXIT_OK
+    record = {
+        "d": cls.d,
+        "genera": cls.genera.to_list(),
+        "gaps": cls.gap_values(),
+        "stats": dict(sorted(cls.stats.items())),
+        "witnesses": {str(g): format_oseq(h) for g, h in sorted(cls.witnesses.items())},
+    }
+    if args.oracle:
+        record["oracle"] = "ok"
+    return _print(args.format, record, _genera_lines(record))
 
 
 def _cmd_gaps(args) -> int:
-    cls = acm_genera(args.d)
-    if args.format == "json":
-        _emit_json(
-            [
-                {"value": c.value, "reason": c.reason, "s": c.s, "i": c.i}
-                for c in cls.gaps
-            ]
-        )
-    else:
-        for c in cls.gaps:
-            extra = ""
-            if c.s is not None:
-                extra += f" s={c.s}"
-            if c.i is not None:
-                extra += f" i={c.i}"
-            print(f"{c.value} {c.reason}{extra}")
-    return EXIT_OK
+    record = [{"value": c.value, "reason": c.reason, "s": c.s, "i": c.i} for c in acm_genera(args.d).gaps]
+    lines = (
+        " ".join([f"{c['value']} {c['reason']}"] + [f"{k}={c[k]}" for k in ("s", "i") if c[k] is not None])
+        for c in record
+    )
+    return _print(args.format, record, lines)
 
 
 def _family(args) -> TreeFamily:
@@ -131,70 +121,50 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ranges(args) -> int:
-    rows = range_table(args.d)
-    if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "s": r.s,
-                    "min": r.min_genus,
-                    "max": r.max_genus,
-                    "minWitness": format_oseq(r.min_witness),
-                    "maxWitness": format_oseq(r.max_witness),
-                    "separated": r.separated,
-                }
-                for r in rows
-            ]
-        )
-    else:
-        for r in rows:
-            print(
-                f"s={r.s} min={r.min_genus} max={r.max_genus} "
-                f"minWitness={format_oseq(r.min_witness)} "
-                f"maxWitness={format_oseq(r.max_witness)} "
-                f"separated={'true' if r.separated else 'false'}"
-            )
-    return EXIT_OK
+    record = [
+        {
+            "s": r.s,
+            "min": r.min_genus,
+            "max": r.max_genus,
+            "minWitness": format_oseq(r.min_witness),
+            "maxWitness": format_oseq(r.max_witness),
+            "separated": r.separated,
+        }
+        for r in range_table(args.d)
+    ]
+    lines = (
+        f"s={r['s']} min={r['min']} max={r['max']} minWitness={r['minWitness']} "
+        f"maxWitness={r['maxWitness']} separated={'true' if r['separated'] else 'false'}"
+        for r in record
+    )
+    return _print(args.format, record, lines)
 
 
 def _cmd_mseq(args) -> int:
     values = m_sequence(args.dmax)
-    if args.format == "json":
-        _emit_json(values)
-    else:
-        for d, m in enumerate(values, start=1):
-            print(f"d={d} m={m}")
-    return EXIT_OK
+    return _print(args.format, values, (f"d={d} m={m}" for d, m in enumerate(values, start=1)))
 
 
 def _cmd_min_reg(args) -> int:
     answer = min_acm_regularity(args.d, args.g)
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": answer.d,
-                "g": answer.g,
-                "m_acm": answer.min_regularity,
-                "rho": answer.postulation_regularity,
-                "witness": format_oseq(answer.witness),
-            }
-        )
-    else:
-        print(
-            f"m_acm={answer.min_regularity} rho={answer.postulation_regularity} "
-            f"witness={format_oseq(answer.witness)}"
-        )
-    return EXIT_OK
+    record = {
+        "d": answer.d,
+        "g": answer.g,
+        "m_acm": answer.min_regularity,
+        "rho": answer.postulation_regularity,
+        "witness": format_oseq(answer.witness),
+    }
+    line = f"m_acm={record['m_acm']} rho={record['rho']} witness={record['witness']}"
+    return _print(args.format, record, [line])
 
 
 def _cmd_enumerate(args) -> int:
     family = _family(args)
-    if args.export:
-        print(export_tree(family, args.export))
-    else:
-        for h in iter_family(family):
-            print(format_oseq(h))
-    return EXIT_OK
+    if args.export == "dot":
+        print(export_dot(family))
+        return EXIT_OK
+    record = export_json(family) if args.export else None
+    return _print(args.export, record, map(format_oseq, iter_family(family)))
 
 
 def _cmd_hilbert(args) -> int:
@@ -202,26 +172,23 @@ def _cmd_hilbert(args) -> int:
     if not is_admissible(h):
         print(f"not an admissible O-sequence: {format_oseq(h)}", file=sys.stderr)
         return EXIT_DOMAIN
-    tmax = args.tmax if args.tmax is not None else len(h)
-    data = hilbert_data(h, tmax)
+    data = hilbert_data(h, args.tmax if args.tmax is not None else len(h))
     dcoef, const = data.polynomial
-    if args.format == "json":
-        _emit_json(
-            {
-                "h": format_oseq(data.h_vector),
-                "zeroDim": list(data.zero_dim),
-                "curve": list(data.curve),
-                "polynomial": {"slope": dcoef, "constant": const},
-                "rho": data.postulation_regularity,
-            }
-        )
-    else:
-        print(f"h: {format_oseq(data.h_vector)}")
-        print(f"H_Z: {format_oseq(data.zero_dim)}")
-        print(f"H_C: {format_oseq(data.curve)}")
-        print(f"polynomial: {dcoef}t{const:+d}")
-        print(f"rho: {data.postulation_regularity}")
-    return EXIT_OK
+    record = {
+        "h": format_oseq(data.h_vector),
+        "zeroDim": list(data.zero_dim),
+        "curve": list(data.curve),
+        "polynomial": {"slope": dcoef, "constant": const},
+        "rho": data.postulation_regularity,
+    }
+    lines = [
+        f"h: {record['h']}",
+        f"H_Z: {format_oseq(data.zero_dim)}",
+        f"H_C: {format_oseq(data.curve)}",
+        f"polynomial: {dcoef}t{const:+d}",
+        f"rho: {record['rho']}",
+    ]
+    return _print(args.format, record, lines)
 
 
 def _timed_run(d: int) -> dict:
@@ -255,20 +222,18 @@ def _cmd_bench(args) -> int:
         n = count_osequences(args.d)
         visit = {"ms": (perf_counter() - t0) * 1e3, "sequences": n}
 
-    if args.format == "json":
-        _emit_json({"d": args.d, "runs": [run], "full_visit": visit})
-        return EXIT_OK
     share = 100.0 * run["step3_ms"] / run["total_ms"] if run["total_ms"] else 0.0
-    print(f"d={args.d} backend={run['backend']}")
-    print(f"  step1 certain genera  {run['step1_ms']:10.3f} ms")
-    print(f"  step2 certified gaps  {run['step2_ms']:10.3f} ms")
-    print(f"  step3 searches        {run['step3_ms']:10.3f} ms  ({share:.1f}% of total)")
-    print(f"  total                 {run['total_ms']:10.3f} ms")
-    if visit is None:
-        print("full visit: skipped (degree exceeds the exhaustive budget)")
-    else:
-        print(f"full visit: {visit['ms']:.3f} ms ({visit['sequences']} sequences)")
-    return EXIT_OK
+    lines = [
+        f"d={args.d} backend={run['backend']}",
+        f"  step1 certain genera  {run['step1_ms']:10.3f} ms",
+        f"  step2 certified gaps  {run['step2_ms']:10.3f} ms",
+        f"  step3 searches        {run['step3_ms']:10.3f} ms  ({share:.1f}% of total)",
+        f"  total                 {run['total_ms']:10.3f} ms",
+        "full visit: skipped (degree exceeds the exhaustive budget)"
+        if visit is None
+        else f"full visit: {visit['ms']:.3f} ms ({visit['sequences']} sequences)",
+    ]
+    return _print(args.format, {"d": args.d, "runs": [run], "full_visit": visit}, lines)
 
 
 def build_parser() -> _Parser:

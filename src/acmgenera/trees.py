@@ -270,13 +270,3 @@ def total_compare(h1, h2) -> int:
         if a[j] != b[j]:
             return -1 if a[j] < b[j] else 1
     return 0
-
-
-def export_tree(family: TreeFamily, fmt: str):
-    if fmt == "dot":
-        return export_dot(family)
-    if fmt == "json":
-        import json
-
-        return json.dumps(export_json(family), sort_keys=True)
-    raise ValueError(f"unknown export format {fmt!r}")

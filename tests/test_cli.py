@@ -305,16 +305,22 @@ def test_search_at_a_long_shortest_length_answers_within_seconds():
 
 
 def test_single_queries_at_long_lengths_answer_from_the_excess_table():
-    # each walked a fixed-(200, s) tree for minutes; the lengths they ask at
-    # are long, with excess at most MAX_EXCESS, so the excess table answers
+    # the first two walked a fixed-(200, s) tree for minutes; the lengths they
+    # ask at are long, with excess at most MAX_EXCESS, so the excess table
+    # answers.  The third has excess 499, past MAX_EXCESS, so it walks, for a
+    # genus one above the length's least
     checker = independent_checker()
-    for args, s in ((["search", "200", "10181"], None), (["search", "200", "10103", "--length", "120"], 120)):
+    for args, s in (
+        (["search", "200", "10181"], None),
+        (["search", "200", "10103", "--length", "120"], 120),
+        (["search", "1000", "124751", "--length", "501"], 501),
+    ):
         result = subprocess.run(
             [sys.executable, "-m", "acmgenera.cli", *args], capture_output=True, text=True, timeout=20
         )
         assert result.returncode == 0, (args, result.stderr)
         witness = tuple(map(int, result.stdout.strip().split(",")))
-        assert checker.witness_problems(200, int(args[2]), witness, s=s) == [], args
+        assert checker.witness_problems(int(args[1]), int(args[2]), witness, s=s) == [], args
 
 
 def test_cache_environment_variable_cannot_change_an_answer(tmp_path):

@@ -382,6 +382,26 @@ def test_threads_growing_the_table_agree_with_one_thread():
     _assert_tables_complete(excesses)
 
 
+def test_an_offset_set_already_built_is_read_without_the_lock():
+    # a warm Off(j) is one list read; a reader that queued on the lock would
+    # wait behind every growth of the table, once per single query
+    acmgenera.clear_caches()
+    expected = {j: _kernels._excess_offsets(j) for j in range(21)}
+    results = {}
+
+    def read():
+        results.update({j: _kernels._excess_offsets(j) for j in expected})
+
+    with _kernels._excess_table()[-1]:
+        reader = threading.Thread(target=read)
+        reader.start()
+        reader.join(timeout=10)
+        blocked = reader.is_alive()
+    reader.join()
+    assert not blocked
+    assert results == expected
+
+
 def _summary(c):
     return c.genera.bits, c.gaps, c.witnesses, c.certain.bits, c.stats
 

@@ -5,11 +5,15 @@ whose comment starts with a Python literal (``# 5``, ``# 32: ...``) must
 evaluate to it.  Each ``$ acmgenera ...`` example runs through
 :func:`acmgenera.cli.main` and must print the lines under it; an example
 cut short with ``...`` is compared on the text before and after the cut.
+The command synopsis names each subcommand's ``--format`` choices as its
+help does.
 """
 import ast
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from acmgenera import cli
 
@@ -60,3 +64,17 @@ def test_command_line_examples(capsys):
             assert out.startswith(head) and out.endswith(tail), (argv, out)
         else:
             assert out == expected, argv
+
+
+def test_command_line_synopsis_names_each_format_option(capsys):
+    # a synopsis line shows [--format ...] with the choices exactly when its subcommand takes it
+    lines = _block("Command line", "text")
+    for line in lines:
+        with pytest.raises(SystemExit):
+            cli.main([line.split()[1], "-h"])
+        choices = re.search(r"--format \{(.*?)\}", capsys.readouterr().out)
+        if choices:
+            assert f"[--format {choices.group(1).replace(',', '|')}]" in line, line
+        else:
+            assert "--format" not in line, line
+    assert len(lines) == 9, lines
