@@ -1,38 +1,39 @@
 """Hot search kernels: one pruned tree walk, the backward excess table, the
 exhaustive enumeration and the per-length genus profile.
 
-:func:`length_witness` is the rule for one genus at one length: the batch
-search applies it at each short length, a fixed-multiplicity search applies
-it at the lengths the degree's genus profile marks, and
-:func:`search_fixed_both` applies it to each genus of a list.  At a short
-length it is one depth-first walk for that genus in the fixed-(d, s) tree.
-The walk and the exhaustive enumeration are explicit-stack loops over plain
-lists, reading the growth bound from a per-degree table of
+The one per-length rule is :func:`length_hits`: it takes a bitmask of
+genera, cuts it to the (d, s)-range less the length's hole values, and
+chooses where the answers come from.  A classification's step 3 asks it for
+each long length, :func:`search_fixed_both` for a list of genera, and
+:func:`length_witness` for one genus, which a fixed-multiplicity search
+asks at the lengths the degree's genus profile marks.  At a short length
+the rule walks the fixed-(d, s) tree once per genus.  The walk and the
+exhaustive enumeration are explicit-stack loops over plain lists, reading
+the growth bound from a per-degree table of
 :func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
 dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
-excess k = d - s, and :func:`long_length_hits` is the one rule there: the
-requested offsets are a bitmask, the hits are one AND with Off(k), and only
-the hits get witnesses.  Off(k) comes from one backward table of suffix
+excess k = d - s, and the rule reads it from :func:`long_length_hits`: the
+cut genera are a bitmask of offsets, the hits are one AND with Off(k), and
+only the hits get witnesses.  Off(k) comes from one backward table of suffix
 offsets that depends on neither k nor d: it grows with the largest excess
 asked, and a greedy pass over it builds each witness, so the answers do not
-depend on which requests came before.  A classification's step 3 calls
-that rule directly, one mask per long length, and :func:`length_witness`
-calls it for one offset; only an excess past ``MAX_EXCESS``, where the
-table is refused, is walked.
+depend on which requests came before.  Only an excess past ``MAX_EXCESS``,
+where the table is refused, is walked, except for its top genus, whose one
+sequence is a closed form.
 """
 from __future__ import annotations
 
 import threading
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb
 from operator import or_
 from typing import Iterator
 
-from .errors import BudgetError, _check_degree
-from .ranges import hole_window, max_genus, max_oseq
+from .errors import MAX_DEGREE, BudgetError, _check_degree
+from .ranges import _grown, _hole_count, closed_max_oseq, max_genus
 
 # The exhaustive enumeration visits every sequence, and their number grows
 # too fast for a complete visit past this degree.
@@ -386,52 +387,80 @@ def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple
     return hits, {base + o: _excess_witness(k, o) + tail for o in _set_bits(hits)}
 
 
+def length_hits(d: int, s: int, genera: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The genera in the mask ``genera`` attained at multiplicity d, length s, and their witnesses.
+
+    The one per-length rule: bit g of ``genera`` asks for genus g, and its
+    witness is the first vertex of genus g in the fixed-(d, s) tree's
+    preorder.  No sequence of multiplicity d is longer than d, so s > d
+    holds none, and only d = 1 has one of length 1; a length below 1 raises
+    ValueError, and a degree above the budget :class:`BudgetError`.
+
+    At a long length, s >= d//2 + 1, the mask is cut to the offsets
+    o = g - C(s-1,2) of the (d, s)-range less its hole values
+    (:func:`~acmgenera.ranges.hole_window`), and an excess k = d - s of at
+    most ``MAX_EXCESS`` is answered by :func:`long_length_hits` on the cut
+    offsets.  Past that limit (up to k = 499 at the degree budget) the table
+    would be refused, so the top genus returns
+    :func:`~acmgenera.ranges.closed_max_oseq`, the only sequence with that
+    genus, and any other genus is looked for by one walk, :func:`_walk_to`,
+    pruned at it, as is each genus up to ``max_genus(d, s)`` at a short
+    length, which holds no holes.
+
+    Returns (the hit mask, {genus: witness} in ascending genus).
+    """
+    k = d - s
+    if 0 <= k < s and d <= MAX_DEGREE:  # a long length, d//2 + 1 <= s <= d, within the degree budget
+        base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2  # C(s-1,2) and the top offset, C(k,2)
+        # the offsets below the holes, and the top one; the holes stay
+        # pending for the longer lengths.  No length-s sequence has a hole
+        # genus, so the cut changes no output, but it keeps the table from
+        # growing for values it cannot hold: without it 211 of the degrees
+        # 3..1000 ask a larger excess (d = 150 asks 23 instead of 22)
+        offsets = (genera >> base) & (((1 << (top - _hole_count(d, s))) - 1) | 1 << top)
+        if k <= MAX_EXCESS:
+            hits, found = long_length_hits(d, s, offsets) if offsets else (0, {})
+            return hits << base, found
+        targets, closed = [base + o for o in _set_bits(offsets)], base + top
+    elif s < 1:
+        raise ValueError("length must be >= 1")
+    elif s > d or s == 1:  # s = 1 is short only for d > 1
+        return 0, {}
+    else:  # a short length, or a degree past the budget, which max_genus refuses
+        targets, closed = _set_bits(genera & ((1 << (max_genus(d, s) + 1)) - 1)), -1
+    found = ((g, closed_max_oseq(d, s) if g == closed else _walk_to(d, s, g, bound_table(d))) for g in targets)
+    found = {g: w for g, w in found if w is not None}
+    return sum(1 << g for g in found), found
+
+
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     """Witnesses for each target genus attainable at multiplicity d, length s.
 
-    The per-length rule :func:`length_witness` applied to each target, in
-    ascending order, at every length; a length below 1 raises ValueError.  A
-    classification's step 3 sends only three requests here, each with one
-    target: (15, 7, [33]), (16, 8, [41]) and (18, 9, [53]), the only
-    short-length requests of a warm ascending sweep of every degree up to
-    1000; step 3 reads its long lengths from :func:`long_length_hits`
-    directly, one mask of offsets per length.
+    The per-length rule :func:`length_hits` asked for the targets as one
+    mask, answered in ascending genus; a target outside [0, C(d-1,2)]
+    holds no sequence and never becomes a bit.  A classification's step 3
+    sends only three requests here, each with one target: (15, 7, [33]),
+    (16, 8, [41]) and (18, 9, [53]), the only short-length requests of a
+    warm ascending sweep of every degree up to 1000; step 3 asks the rule
+    for its long lengths directly, with its whole mask of pending values.
     """
     _check_degree(d)
-    if s < 1:
-        raise ValueError("length must be >= 1")
-    found = ((g, length_witness(d, s, g)) for g in sorted({int(g) for g in targets}))
-    return {g: w for g, w in found if w is not None}
+    most = (d - 1) * (d - 2) // 2
+    mask = bytearray(most // 8 + 1)  # one pass over the targets: an int would be copied once per bit set
+    for g in map(int, targets):
+        if 0 <= g <= most:
+            mask[g >> 3] |= 1 << (g & 7)
+    return length_hits(d, s, int.from_bytes(mask, "little"))[1]
 
 
 def length_witness(d: int, s: int, g: int):
     """First vertex of genus ``g`` in the fixed-(d, s) tree's preorder, or None.
 
-    No sequence of multiplicity d is longer than d, so s > d holds none, and
-    only d = 1 has one of length 1; a length below 1 raises ValueError.  A
-    genus above ``max_genus(d, s)`` or in the length's ``hole_window``
-    returns None without a search.  At a long length, s >= d//2 + 1, whose
-    excess k = d - s is at most ``MAX_EXCESS``, the answer is step 3's rule,
-    :func:`long_length_hits` asked for the one offset g - C(s-1,2).  Past
-    that limit (up to k = 499 at the degree budget) the table would be
-    refused, so the top genus returns ``max_oseq(d, s)``, the only sequence
-    with that genus, and any other genus, like every genus of a short
-    length, is looked for by one walk, :func:`_walk_to`, pruned at ``g``.
+    The per-length rule :func:`length_hits` asked for one genus; a genus
+    outside [0, C(d-1,2)] asks for none, so it returns None after the
+    rule's checks of the length and the degree.
     """
-    if s < 1:
-        raise ValueError("length must be >= 1")
-    if s > d or (s == 1 and d > 1):
-        return None
-    top = max_genus(d, s)
-    if g > top or g in hole_window(d, s):
-        return None
-    k = d - s
-    if k < s and k <= MAX_EXCESS:
-        o = g - (s - 1) * (s - 2) // 2
-        return long_length_hits(d, s, 1 << o)[1].get(g) if o >= 0 else None
-    if g == top and k < s:
-        return max_oseq(d, s)
-    return _walk_to(d, s, g, bound_table(d))
+    return length_hits(d, s, 1 << g if 0 <= g <= (d - 1) * (d - 2) // 2 else 0)[1].get(g)
 
 
 def search_multiplicity(d: int, target: int):
@@ -466,22 +495,14 @@ def brute_force_attained(d: int) -> tuple[list[int], int]:
 
 @cache
 def _profile(d: int) -> tuple[list[int], Iterator[int], threading.Lock]:
-    """Degree d's genus profile so far: (masks, the layers still to run, their lock)."""
-    return [], _length_profile_impl(d, bound_table(d)), threading.Lock()
+    """Degree d's genus profile so far: (masks, the layers still to run, their lock).
 
-
-def _profile_prefix(d: int, s: int) -> list[int]:
-    """Degree d's cached genus profile, final through masks[s] (all d + 1 masks once s >= d).
-
-    The dynamic program runs one layer per length and resumes where the
-    previous call stopped, so a query answered at a short length never pays
-    for the long ones.
+    ``_grown(_profile(d), s + 1)`` holds masks[0..s], final (all d + 1 masks
+    once s >= d).  The dynamic program runs one layer per length and resumes
+    where the previous read stopped, so a query answered at a short length
+    never pays for the long ones.
     """
-    masks, layers, lock = _profile(d)
-    if len(masks) <= s:
-        with lock:
-            masks.extend(islice(layers, max(0, s + 1 - len(masks))))
-    return masks
+    return [], _length_profile_impl(d, bound_table(d)), threading.Lock()
 
 
 def length_profile(d: int) -> tuple[int, ...]:
@@ -491,7 +512,7 @@ def length_profile(d: int) -> tuple[int, ...]:
     same ``bound_table(d)`` rows as the searches.
     """
     _check_degree(d)
-    return tuple(_profile_prefix(d, d))
+    return tuple(_grown(_profile(d), d + 1))
 
 
 def _lengths_of(d: int, g: int) -> Iterator[int]:
@@ -506,7 +527,7 @@ def _lengths_of(d: int, g: int) -> Iterator[int]:
         return
     s = 1
     while s <= d and (s - 1) * (s - 2) // 2 <= g:
-        if _profile_prefix(d, s)[s] >> g & 1:
+        if _grown(_profile(d), s + 1)[s] >> g & 1:
             yield s
         s += 1
 

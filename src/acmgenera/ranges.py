@@ -76,6 +76,21 @@ def _max_genera(s: int) -> Iterator[int]:
                 grow &= ~(1 << j)
 
 
+def _grown(memo: tuple[list, Iterator, threading.Lock], n: int) -> list:
+    """A memo's items, grown from its rest under its lock until they number n or the rest ends.
+
+    A memo that grows on demand is (items, rest, lock): the results so far,
+    the iterator that yields the next ones, and the lock that serialises
+    growth.  The length is read before the lock, so a read of what is
+    already built takes none.
+    """
+    items, rest, lock = memo
+    if len(items) < n:
+        with lock:
+            items.extend(islice(rest, max(0, n - len(items))))
+    return items
+
+
 @cache
 def _row(s: int) -> tuple[list[int], Iterator[int], threading.Lock]:
     """The length-s row so far, kept across degrees: (genera, the generator to resume, its lock)."""
@@ -89,11 +104,7 @@ def _max_row(d: int, s: int) -> list[int]:
     if d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
     _check_degree(d)
-    genera, rest, lock = _row(s)
-    if len(genera) <= d - s:
-        with lock:
-            genera.extend(islice(rest, max(0, d - s + 1 - len(genera))))
-    return genera
+    return _grown(_row(s), d - s + 1)
 
 
 def max_oseq(d: int, s: int) -> tuple[int, ...]:

@@ -7,18 +7,16 @@ pruning loses nothing.  The classification combines the certain genera from
 the degree recursion, the closed-form gap certificates, and one rule for the
 values still pending, applied for s = 2 .. d in ascending order: a pending
 value below the least genus of length s is a gap, and the pending values in
-the (d, s)-range are looked for at length s, except that length's hole
-values (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence
-attains and which stay pending for the longer lengths.  At a long length
-the pending values are read as one mask of offsets and answered by
-:func:`~acmgenera._kernels.long_length_hits`, one AND with the offsets that
-the backward excess table holds for that excess, with witnesses for the
-hits alone.  A short length goes to
-:func:`~acmgenera._kernels.search_fixed_both`, which asks the per-length
-rule :func:`~acmgenera._kernels.length_witness` target by target.  A
-single-genus search applies that rule too: at a long length whose excess
-is at most ``MAX_EXCESS`` it reads the same table for one offset, and
-elsewhere it walks the tree for that one genus.
+the (d, s)-range are looked for at length s.  At a long length the whole
+pending mask goes to the per-length rule
+:func:`~acmgenera._kernels.length_hits`, which cuts it to that range less
+the length's hole values (:func:`~acmgenera.ranges.hole_window`), which no
+length-s sequence attains and which stay pending for the longer lengths,
+and answers the rest with one AND against the offsets that the backward
+excess table holds for that excess, with witnesses for the hits alone.  A
+short length goes to :func:`~acmgenera._kernels.search_fixed_both`, which
+asks the same rule for its list of targets.  A single-genus search asks it
+for one genus (:func:`~acmgenera._kernels.length_witness`).
 """
 from __future__ import annotations
 
@@ -41,13 +39,13 @@ def genus_search(g: int, family: TreeFamily):
 
     Vertices are taken from a LIFO stack with children pushed so that the
     lowest incremented index is explored first, which fixes the witness.
-    On the fixed-(d, s) family the answer is the per-length rule
-    :func:`~acmgenera._kernels.length_witness`; on the fixed-multiplicity
-    family it is that rule at each length whose genus profile holds ``g``
-    (:func:`~acmgenera._kernels.search_multiplicity`), so an absent genus
-    returns None without a walk.  On the capped families the family's own
-    walk raises :class:`BudgetError` past ``trees.DEFAULT_NODE_BUDGET``
-    vertices; the budget is read at call time.
+    On the fixed-(d, s) family the answer is the per-length rule asked for
+    one genus, :func:`~acmgenera._kernels.length_witness`; on the
+    fixed-multiplicity family it is that at each length whose genus profile
+    holds ``g`` (:func:`~acmgenera._kernels.search_multiplicity`), so an
+    absent genus returns None without a walk.  On the capped families the
+    family's own walk raises :class:`BudgetError` past
+    ``trees.DEFAULT_NODE_BUDGET`` vertices; the budget is read at call time.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -131,23 +129,21 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     gap; the pending values in ``[min_genus(s), max_genus(d, s)]`` are looked
     for at length s, and the values found are genera.
 
-    A long length, s >= d//2 + 1, shifts the mask down by ``C(s-1,2)`` and
-    cuts it to the ``C(d-s,2) + 1`` offsets of its range, less its hole
-    values (:func:`~acmgenera.ranges.hole_window`), which no length-s
-    sequence has and which stay pending for the longer lengths;
-    :func:`~acmgenera._kernels.long_length_hits` ANDs the offsets with those
-    present at excess d - s and builds witnesses for the hits alone.  A short
-    length, which holds no holes, sends its targets to
-    :func:`~acmgenera._kernels.search_fixed_both`; up to d = 1000 that
-    happens three times, each for one genus.
+    A long length, s >= d//2 + 1, hands the whole mask to the per-length
+    rule :func:`~acmgenera._kernels.length_hits`, which cuts it to the
+    length's range less its hole values, reads the hits from the backward
+    excess table and returns them as a mask of genera, with witnesses for
+    the hits alone.  A short length, which holds no holes, sends its targets
+    to :func:`~acmgenera._kernels.search_fixed_both`, which asks the same
+    rule; up to d = 1000 that happens three times, each for one genus.
 
     A length whose genus ceiling lies below the least pending value holds no
     target and is skipped: the ceiling is ``C(s-1,2) + C(d-s,2)`` at a long
     length and ``C(s-1,2) + (s-2)(d-s)`` at a short one (at most ``s-2`` for
     each of the ``d-s`` units above the all-ones sequence), read before its
     ``max_genus``.  The least pending value is an int, read again from the
-    mask only after a search or once ``min_genus(s)`` passes it.  The walk
-    stops once nothing is pending.
+    mask only after a length with hits or once ``min_genus(s)`` passes it.
+    The walk stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -181,20 +177,9 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
             low = (pending & -pending).bit_length() - 1
         k = d - s
         if s > k:
-            top = k * (k - 1) // 2  # the top offset, C(k,2)
-            if least + top < low:
+            if least + k * (k - 1) // 2 < low:  # the ceiling C(s-1,2) + C(k,2)
                 continue
-            holes = ranges._hole_count(d, s)
-            # the offsets below the holes, and the top one; the holes stay
-            # pending.  No length-s sequence has a hole genus, so the cut
-            # changes no output, but it keeps the table from growing for
-            # values it cannot hold: without it 211 of the degrees 3..1000
-            # ask a larger excess (d = 150 asks 23 instead of 22)
-            offsets = (pending >> least) & (((1 << (top - holes)) - 1) | 1 << top)
-            if not offsets:
-                continue
-            hits, found = _kernels.long_length_hits(d, s, offsets)
-            hits <<= least
+            hits, found = _kernels.length_hits(d, s, pending)
         else:
             if least + (s - 2) * k < low:
                 continue
@@ -205,6 +190,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
             hits = 0
             for g in found:
                 hits |= 1 << g
+        if not hits:
+            continue
         witnesses.update(found)
         found_bits |= hits
         pending &= ~hits

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from acmgenera import (
     m_sequence,
     min_acm_regularity,
 )
-from acmgenera._kernels import length_profile, search_fixed_both
+from acmgenera._kernels import length_profile, length_witness, search_fixed_both
 from acmgenera.ranges import closed_max_oseq, genus_range
 from conftest import independent_checker, reference_sequences
 
@@ -111,6 +112,19 @@ def test_search(capsys):
     assert code == 0 and out.strip() == "none"
     code, _, err = run_cli(["search", "5", "0", "--length", "1"], capsys)
     assert code == 2 and "no O-sequence of length 1 has multiplicity 5" in err
+
+
+def test_genera_outside_the_degrees_range_never_become_a_mask(capsys):
+    # the per-length rule takes a bitmask of genera; 1 << 10**12 would take
+    # 125 GB, so a genus outside [0, C(d-1,2)] is dropped before any bit is set
+    assert length_witness(10, 5, 10**12) is None
+    assert length_witness(10, 5, -1) is None
+    assert search_fixed_both(10, 5, [10**12, -1, 3]) == search_fixed_both(10, 5, [3])
+    for length in (["--length", "5"], []):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["search", "10", "1000000000000", *length], capsys)
+        assert (code, out) == (0, "none\n"), length
+        assert time.perf_counter() - start < 1, length
 
 
 def test_ranges(capsys):

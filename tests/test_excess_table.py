@@ -222,6 +222,26 @@ def test_long_lengths_read_only_the_tables_bound_table(monkeypatch):
     assert read == [22 + 2]  # k = 22; then k = 10 and k = 22 again
 
 
+def test_a_whole_long_length_range_is_one_mask(monkeypatch):
+    # search_fixed_both hands its targets to the per-length rule as one mask,
+    # so a long length reads the table once however many genera it is asked
+    # for, and answers as length_witness does genus by genus
+    asked = []
+
+    def hits(d, s, offsets, _inner=_kernels.long_length_hits):
+        asked.append((d, s))
+        return _inner(d, s, offsets)
+
+    monkeypatch.setattr(_kernels, "long_length_hits", hits)
+    acmgenera.clear_caches()
+    for d, s in [(100, 60), (150, 128), (60, 31)]:
+        asked.clear()
+        found = search_fixed_both(d, s, _whole_range(d, s))
+        assert asked == [(d, s)]
+        by_genus = ((g, _kernels.length_witness(d, s, g)) for g in _whole_range(d, s))
+        assert list(found.items()) == [(g, w) for g, w in by_genus if w is not None], (d, s)
+
+
 def test_an_oversized_table_is_refused_before_it_is_built():
     # k = 499, the largest excess a degree allows: the table would take
     # terabytes, so its owner refuses the mask before it builds a row, and a

@@ -70,7 +70,7 @@ def test_clear_caches_empties_every_memo_under_the_benchmark_tracer():
 
 
 def test_threads_resuming_one_profile_and_one_row_agree_with_one_thread():
-    # _max_row and _profile_prefix extend a shared cached object under its
+    # _max_row and the genus profile grow a shared cached object under its
     # own lock; a lost or doubled step would change an answer.  Every thread
     # extends the rows in one order, a few multiplicities per call, and asks
     # for the profile queries in an order of its own
