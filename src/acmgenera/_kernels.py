@@ -35,8 +35,9 @@ from typing import Iterator
 from .errors import MAX_DEGREE, BudgetError, _check_degree
 from .ranges import _grown, _hole_count, closed_max_oseq, max_genus
 
-# The exhaustive enumeration visits every sequence, and their number grows
-# too fast for a complete visit past this degree.
+# The exhaustive enumeration generates and counts every sequence one at a
+# time, and their number grows too fast for a complete enumeration past this
+# degree (164,347 sequences at d = 40).
 MAX_EXHAUSTIVE_DEGREE = 40
 
 
@@ -120,39 +121,52 @@ def _brute_force_impl(d, bounds):
     multiplicity.  Returns (masks, count) where bit g of masks[s] is set iff
     some sequence of length s has genus g, and count is the number of
     sequences.
+
+    Two rules keep the walk short.  The bound on the entry at position t,
+    ``bounds[t - 1][h_{t-1}]`` (none at t = 1) capped by the multiplicity
+    left, is read once, when the walk enters position t, and kept for that
+    level with the remainder r.  An entry 1 at position t leaves exactly
+    one completion, since macaulay_bound(1, t) = 1 forces every later entry
+    to 1: so on entering a level the all-ones tail, r ones from position t
+    on, closes at once, at length t + r with genus
+    gc + r(t - 1) + r(r - 1)/2, gc the genus before position t.  The walk
+    then tries the values 2, 3, ... up to the level's bound, each closing
+    the sequence when it uses up the remainder and opening the next level
+    otherwise.  Past position 0 a sequence is its entries of at least 2
+    followed by its ones, so it is closed exactly once: by the tail rule at
+    its first 1, or by its last entry when it has no 1 past position 0.
     """
     masks = [0] * (d + 1)
-    if d == 1:
-        masks[1] = 1
-        return masks, 1
-    count = 0
-    val = [0] * (d + 1)
-    ssum = [0] * (d + 1)
+    val = [0] * (d + 1)  # per level: the entry tried, its bound, the multiplicity left, the genus before it
+    top = [0] * (d + 1)
+    rem = [0] * (d + 1)
     gen = [0] * (d + 1)
-    ssum[1] = 1
+    top[1] = rem[1] = d - 1
+    val[1] = 1
+    masks[d] = 1 << ((d - 1) * (d - 2) // 2)  # (1, 1, ..., 1), the root's all-ones tail
+    count = 1
     t = 1
-    while t >= 1:
+    while t:
         v = val[t] + 1
-        rem = d - ssum[t]
-        if t == 1:
-            top = rem
-        else:
-            top = bounds[t - 1][val[t - 1]]
-            if top > rem:
-                top = rem
-        if v > top:
-            val[t] = 0
+        if v > top[t]:
             t -= 1
             continue
         val[t] = v
-        gc = gen[t] + (t - 1) * v if t >= 2 else 0
-        if v == rem:
+        r = rem[t]
+        gc = gen[t] + (t - 1) * v
+        if v == r:
             masks[t + 1] |= 1 << gc
             count += 1
-        else:
-            ssum[t + 1] = ssum[t] + v
-            gen[t + 1] = gc
-            t += 1
+            continue
+        r -= v
+        t += 1
+        b = bounds[t - 1][v]
+        top[t] = b if b < r else r
+        rem[t] = r
+        gen[t] = gc
+        val[t] = 1
+        masks[t + r] |= 1 << (gc + r * (t - 1) + r * (r - 1) // 2)
+        count += 1
     return masks, count
 
 

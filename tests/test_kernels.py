@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from acmgenera import (
     certain_genera,
     certified_gaps,
     children,
+    count_osequences,
     export_json,
     genus,
     genus_search,
@@ -24,7 +26,7 @@ from acmgenera import (
 )
 from acmgenera import _kernels, errors
 from acmgenera._kernels import bound_table, brute_force_attained, length_profile, search_fixed_both
-from conftest import pascal_bound, reference_walk
+from conftest import pascal_bound, reference_sequences, reference_walk
 
 
 def test_bound_table_matches_pascal_bound():
@@ -146,9 +148,29 @@ def test_search_fixed_both_returns_first_preorder_witness_of_every_genus():
 
 
 def test_length_profile_matches_exhaustive_generation():
-    for d in range(1, 31):
+    for d in range(1, 37):
         masks, _ = brute_force_attained(d)
         assert length_profile(d) == tuple(masks), d
+
+
+def test_exhaustive_generation_matches_the_reference_sequences():
+    # the count and every per-length mask, against prefix extension by recursion
+    for d in range(1, 17):
+        masks = [0] * (d + 1)
+        for h in reference_sequences(d):
+            masks[len(h)] |= 1 << genus(h)
+        assert brute_force_attained(d) == (masks, len(reference_sequences(d))), d
+
+
+@pytest.mark.slow
+def test_exhaustive_generation_is_pinned_up_to_its_budget():
+    # the masks and counts of every degree the budget allows, as first
+    # recorded: a faster generator must reproduce them byte for byte
+    digest = hashlib.sha256()
+    for d in range(1, 41):
+        digest.update(repr(brute_force_attained(d)).encode())
+    assert digest.hexdigest() == "25132cb848f0e2a98ad85ab8bc7eee5ad4b5307c1195a64a8dc851b44e6b0f0d"
+    assert count_osequences(40) == 164347
 
 
 def test_length_profile_union_matches_classification_past_the_exhaustive_oracle():
