@@ -4,7 +4,8 @@ exhaustive enumeration and the per-length genus profile.
 The one per-length rule is :func:`length_hits`: it takes a bitmask of
 genera, cuts it to the (d, s)-range less the length's hole values, and
 chooses where the answers come from.  A classification's step 3 asks it for
-each long length, :func:`search_fixed_both` for a list of genera, and
+every length it does not skip, with its whole mask of pending values;
+:func:`search_fixed_both` asks it for a list of genera and
 :func:`length_witness` for one genus, which a fixed-multiplicity search
 asks at the lengths the degree's genus profile marks.  At a short length
 the rule walks the fixed-(d, s) tree once per genus.  The walk and the
@@ -435,14 +436,17 @@ def length_hits(d: int, s: int, genera: int) -> tuple[int, dict[int, tuple[int, 
         if k <= MAX_EXCESS:
             hits, found = long_length_hits(d, s, offsets) if offsets else (0, {})
             return hits << base, found
-        targets, closed = [base + o for o in _set_bits(offsets)], base + top
+        targets, closed = offsets << base, base + top
     elif s < 1:
         raise ValueError("length must be >= 1")
     elif s > d or s == 1:  # s = 1 is short only for d > 1
         return 0, {}
     else:  # a short length, or a degree past the budget, which max_genus refuses
-        targets, closed = _set_bits(genera & ((1 << (max_genus(d, s) + 1)) - 1)), -1
-    found = ((g, closed_max_oseq(d, s) if g == closed else _walk_to(d, s, g, bound_table(d))) for g in targets)
+        targets, closed = genera & ((1 << (max_genus(d, s) + 1)) - 1), -1
+    if not targets:
+        return 0, {}
+    found = ((g, closed_max_oseq(d, s) if g == closed else _walk_to(d, s, g, bound_table(d)))
+             for g in _set_bits(targets))
     found = {g: w for g, w in found if w is not None}
     return sum(1 << g for g in found), found
 
@@ -453,10 +457,8 @@ def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:
     The per-length rule :func:`length_hits` asked for the targets as one
     mask, answered in ascending genus; a target outside [0, C(d-1,2)]
     holds no sequence and never becomes a bit.  A classification's step 3
-    sends only three requests here, each with one target: (15, 7, [33]),
-    (16, 8, [41]) and (18, 9, [53]), the only short-length requests of a
-    warm ascending sweep of every degree up to 1000; step 3 asks the rule
-    for its long lengths directly, with its whole mask of pending values.
+    does not come here: it asks the rule directly, with its whole mask of
+    pending values.
     """
     _check_degree(d)
     most = (d - 1) * (d - 2) // 2

@@ -43,7 +43,7 @@ def min_genus(s: int) -> int:
 
 def min_oseq(d: int, s: int) -> tuple[int, ...]:
     """The genus-minimal O-sequence of multiplicity ``d`` and length ``s``."""
-    if d < s:
+    if s < 1 or d < s:
         raise EmptyFamilyError(f"no O-sequence has multiplicity {d} and length {s}")
     if d == s:
         return (1,) * s
@@ -140,16 +140,16 @@ def max_genus(d: int, s: int) -> int:
 
 
 def closed_max_genus(d: int, s: int) -> int:
-    """Closed form C(s-1,2) + C(d-s,2) of the maximal genus; valid for s >= d//2 + 1."""
-    if s < d // 2 + 1:
-        raise ValueError(f"closed form needs s >= d//2 + 1, got (d={d}, s={s})")
+    """Closed form C(s-1,2) + C(d-s,2) of the maximal genus; valid for d//2 + 1 <= s <= d."""
+    if not d // 2 + 1 <= s <= d:
+        raise ValueError(f"closed form needs d//2 + 1 <= s <= d, got (d={d}, s={s})")
     return binomial(s - 1, 2) + binomial(d - s, 2)
 
 
 def closed_max_oseq(d: int, s: int) -> tuple[int, ...]:
-    """Closed form (1, 2^(d-s), 1^(2s-d-1)) of the maximal O-sequence; s >= d//2 + 1."""
-    if s < d // 2 + 1:
-        raise ValueError(f"closed form needs s >= d//2 + 1, got (d={d}, s={s})")
+    """Closed form (1, 2^(d-s), 1^(2s-d-1)) of the maximal O-sequence; d//2 + 1 <= s <= d."""
+    if not d // 2 + 1 <= s <= d:
+        raise ValueError(f"closed form needs d//2 + 1 <= s <= d, got (d={d}, s={s})")
     return (1,) + (2,) * (d - s) + (1,) * (2 * s - d - 1)
 
 

@@ -1,22 +1,22 @@
 """Pruned genus searches and the complete classification of one degree.
 
-The single-genus search walks a spanning tree depth-first (LIFO), returns
-the first vertex with the requested genus, and prunes every subtree whose
-root already exceeds it; the genus never decreases along tree edges, so the
-pruning loses nothing.  The classification combines the certain genera from
-the degree recursion, the closed-form gap certificates, and one rule for the
-values still pending, applied for s = 2 .. d in ascending order: a pending
-value below the least genus of length s is a gap, and the pending values in
-the (d, s)-range are looked for at length s.  At a long length the whole
-pending mask goes to the per-length rule
-:func:`~acmgenera._kernels.length_hits`, which cuts it to that range less
-the length's hole values (:func:`~acmgenera.ranges.hole_window`), which no
-length-s sequence attains and which stay pending for the longer lengths,
-and answers the rest with one AND against the offsets that the backward
-excess table holds for that excess, with witnesses for the hits alone.  A
-short length goes to :func:`~acmgenera._kernels.search_fixed_both`, which
-asks the same rule for its list of targets.  A single-genus search asks it
-for one genus (:func:`~acmgenera._kernels.length_witness`).
+A capped family's single-genus search walks its spanning tree depth-first
+(LIFO), returns the first vertex with the requested genus, and prunes every
+subtree whose root already exceeds it; the genus never decreases along tree
+edges, so the pruning loses nothing.  A finite family's search asks the
+per-length rule for one genus (:func:`~acmgenera._kernels.length_witness`).
+The classification combines the certain genera from the degree recursion,
+the closed-form gap certificates, and one rule for the values still pending,
+applied for s = 2 .. d in ascending order: a pending value below the least
+genus of length s is a gap, and at each length whose genus ceiling reaches
+the least pending value the whole pending mask goes to the per-length rule
+:func:`~acmgenera._kernels.length_hits`.  The rule cuts it to the
+(d, s)-range less the length's hole values
+(:func:`~acmgenera.ranges.hole_window`), which no length-s sequence attains
+and which stay pending for the longer lengths, and returns the genera it
+finds, with witnesses for them alone: at a long length from one AND against
+the offsets that the backward excess table holds for that excess, at a short
+one by one pruned walk per genus.
 """
 from __future__ import annotations
 
@@ -30,21 +30,22 @@ from ._kernels import _set_bits
 from .continuity import GenusSet, certain_genera
 from .errors import _check_degree
 from .macaulay import genus
-from .ranges import GapCertificate, certified_gaps, max_genus
+from .ranges import GapCertificate, certified_gaps
+from .ranges import max_genus  # noqa: F401  (perfbench/tracer.py wraps search.max_genus)
 from .trees import TreeFamily, _walk
 
 
 def genus_search(g: int, family: TreeFamily):
     """First O-sequence of genus ``g`` in the family's tree, or None.
 
-    Vertices are taken from a LIFO stack with children pushed so that the
-    lowest incremented index is explored first, which fixes the witness.
     On the fixed-(d, s) family the answer is the per-length rule asked for
     one genus, :func:`~acmgenera._kernels.length_witness`; on the
     fixed-multiplicity family it is that at each length whose genus profile
     holds ``g`` (:func:`~acmgenera._kernels.search_multiplicity`), so an
-    absent genus returns None without a walk.  On the capped families the
-    family's own walk raises :class:`BudgetError` past
+    absent genus returns None without a walk.  Only the capped families walk
+    a stack: vertices are taken from a LIFO stack with children pushed so
+    that the lowest incremented index is explored first, which fixes the
+    witness, and the family's own walk raises :class:`BudgetError` past
     ``trees.DEFAULT_NODE_BUDGET`` vertices; the budget is read at call time.
     """
     if g < 0:
@@ -129,21 +130,22 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     gap; the pending values in ``[min_genus(s), max_genus(d, s)]`` are looked
     for at length s, and the values found are genera.
 
-    A long length, s >= d//2 + 1, hands the whole mask to the per-length
+    Every length it does not skip hands the whole mask to the per-length
     rule :func:`~acmgenera._kernels.length_hits`, which cuts it to the
-    length's range less its hole values, reads the hits from the backward
-    excess table and returns them as a mask of genera, with witnesses for
-    the hits alone.  A short length, which holds no holes, sends its targets
-    to :func:`~acmgenera._kernels.search_fixed_both`, which asks the same
-    rule; up to d = 1000 that happens three times, each for one genus.
+    length's range less its hole values and returns the hits as a mask of
+    genera, with witnesses for the hits alone: a long length,
+    s >= d//2 + 1, reads them from the backward excess table, and a short
+    one, which holds no holes, walks the tree once per pending value up to
+    ``max_genus(d, s)``.  Up to d = 1000 a short length holds such a value
+    three times, each one genus.
 
     A length whose genus ceiling lies below the least pending value holds no
     target and is skipped: the ceiling is ``C(s-1,2) + C(d-s,2)`` at a long
     length and ``C(s-1,2) + (s-2)(d-s)`` at a short one (at most ``s-2`` for
-    each of the ``d-s`` units above the all-ones sequence), read before its
-    ``max_genus``.  The least pending value is an int, read again from the
-    mask only after a length with hits or once ``min_genus(s)`` passes it.
-    The walk stops once nothing is pending.
+    each of the ``d-s`` units above the all-ones sequence), read before the
+    rule reads the length's ``max_genus``.  The least pending value is an
+    int, read again from the mask only after a length with hits or once
+    ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
 
     ``timings``, when given, receives wall-clock seconds per step.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
@@ -176,20 +178,9 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
                 break
             low = (pending & -pending).bit_length() - 1
         k = d - s
-        if s > k:
-            if least + k * (k - 1) // 2 < low:  # the ceiling C(s-1,2) + C(k,2)
-                continue
-            hits, found = _kernels.length_hits(d, s, pending)
-        else:
-            if least + (s - 2) * k < low:
-                continue
-            targets = pending & ((1 << (max_genus(d, s) + 1)) - 1)
-            if not targets:
-                continue
-            found = _kernels.search_fixed_both(d, s, _set_bits(targets))
-            hits = 0
-            for g in found:
-                hits |= 1 << g
+        if least + (k * (k - 1) // 2 if s > k else (s - 2) * k) < low:  # the length's genus ceiling
+            continue
+        hits, found = _kernels.length_hits(d, s, pending)
         if not hits:
             continue
         witnesses.update(found)

@@ -230,24 +230,30 @@ def reference_walk(d, s, targets, bounds):
 def record_step3_requests(monkeypatch) -> list:
     """Record each length that step 3 asks about, as (d, s, sorted target genera).
 
-    A long length goes to ``_kernels.long_length_hits`` as a mask of
-    offsets from C(s-1,2), a short one to ``_kernels.search_fixed_both`` as
-    a list of genera; both are read back as genera.
+    Step 3 hands its whole pending mask to ``_kernels.length_hits`` at every
+    length.  A long length reaches ``_kernels.long_length_hits`` as a mask of
+    offsets from C(s-1,2), recorded when the cut leaves any; at a short
+    length, s <= d - s, the rule keeps the genera up to ``max_genus(d, s)``,
+    recorded when there are any.  Both are read back as genera.
     """
     from acmgenera import _kernels
+    from acmgenera.ranges import max_genus
 
     asked = []
 
-    def search(d, s, targets, _inner=_kernels.search_fixed_both):
-        asked.append((d, s, sorted(set(targets))))
-        return _inner(d, s, targets)
+    def per_length(d, s, genera, _inner=_kernels.length_hits):
+        if 2 <= s <= d - s:
+            kept = _kernels._set_bits(genera & ((1 << (max_genus(d, s) + 1)) - 1))
+            if kept:
+                asked.append((d, s, kept))
+        return _inner(d, s, genera)
 
     def long_length(d, s, offsets, _inner=_kernels.long_length_hits):
         base = (s - 1) * (s - 2) // 2
         asked.append((d, s, [base + o for o in _kernels._set_bits(offsets)]))
         return _inner(d, s, offsets)
 
-    monkeypatch.setattr(_kernels, "search_fixed_both", search)
+    monkeypatch.setattr(_kernels, "length_hits", per_length)
     monkeypatch.setattr(_kernels, "long_length_hits", long_length)
     return asked
 

@@ -53,8 +53,9 @@ def test_min_oseq():
     assert min_oseq(7, 4) == (1, 4, 1, 1)
     assert min_oseq(5, 5) == (1, 1, 1, 1, 1)
     assert genus(min_oseq(9, 4)) == min_genus(4)
-    with pytest.raises(EmptyFamilyError):
-        min_oseq(3, 7)
+    for d, s in ((3, 7), (5, 0), (5, -1)):
+        with pytest.raises(EmptyFamilyError):
+            min_oseq(d, s)
 
 
 def test_max_oseq_examples():
@@ -92,8 +93,10 @@ def test_closed_form_matches_recursion():
         for s in range(d // 2 + 1, d + 1):
             assert max_oseq(d, s) == closed_max_oseq(d, s), (d, s)
             assert max_genus(d, s) == binomial(s - 1, 2) + binomial(d - s, 2), (d, s)
-    with pytest.raises(ValueError):
-        closed_max_genus(20, 5)
+    for d, s in ((20, 5), (20, 10), (5, 7), (20, 21)):  # below d//2 + 1 or above d
+        for closed_form in (closed_max_genus, closed_max_oseq):
+            with pytest.raises(ValueError, match="closed form"):
+                closed_form(d, s)
 
 
 def test_recursion_matches_the_closed_form_at_long_lengths():
