@@ -63,7 +63,6 @@ _MEMOS = (
     _kernels._excess_witness,
     ranges._row,
     ranges.certified_runs,
-    ranges._between_rows,
     continuity._plain_masks,
     continuity._certain_mask,
 )
@@ -80,11 +79,9 @@ def clear_caches():
     lengths (``_kernels._excess_table``) and its witnesses by excess and
     offset (``_kernels._excess_witness``); and by length, the rows of top
     genera at the short lengths, each resumed from its generator
-    (``ranges._row``); by degree, the runs of closed-form gaps
-    (``ranges.certified_runs``); and the between-range certificates by
-    length (``ranges._between_rows``, one dict of rows that every degree
-    slices, each ending at C(s,2) so that its length gives its lowest
-    value, about 500,000 certificates after every degree up to 1000).  This
+    (``ranges._row``); and by degree, the runs of closed-form gaps
+    (``ranges.certified_runs``), at most two per length, from which every
+    read of a classification's gaps builds their certificates anew.  This
     lets a benchmark time cold computations after a warm-up run.
     """
     for memo in _MEMOS:

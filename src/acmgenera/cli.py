@@ -204,7 +204,7 @@ def _timed_run(d: int) -> dict:
     return {
         "backend": "python",
         "step1_ms": timings["step1"] * 1e3,
-        "step2_ms": timings["step2"] * 1e3,
+        "step2_ms": timings["step2"] * 1e3,  # the runs of closed-form gaps ORed into a mask, no certificate
         "step3_ms": timings["step3"] * 1e3,
         "total_ms": total * 1e3,
         "genera": len(cls.genera),

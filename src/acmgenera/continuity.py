@@ -45,8 +45,12 @@ class GenusSet:
         return value >= 0 and (self.bits >> value) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # one linear pass over the binary digits, lowest bit first
-        return (v for v, digit in enumerate(bin(self.bits)[:1:-1]) if digit == "1")
+        # one linear pass over the binary digits, lowest bit first: a dense set
+        # tests every digit, a sparse one, such as the gaps, finds each 1
+        digits = bin(self.bits)[:1:-1]
+        if 3 * len(self) > len(digits):
+            return (v for v, digit in enumerate(digits) if digit == "1")
+        return _ones(digits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -67,6 +71,14 @@ class GenusSet:
 
     def copy(self) -> "GenusSet":
         return GenusSet(self.d, self.bits)
+
+
+def _ones(digits: str) -> Iterator[int]:
+    """The positions of the 1s in ``digits``, ascending, one ``str.find`` each."""
+    v = digits.find("1")
+    while v >= 0:
+        yield v
+        v = digits.find("1", v + 1)
 
 
 @cache

@@ -17,10 +17,10 @@ between a range and the next one when those are separated, and the top few
 values of a range ("holes") when they fall below the next range's minimum.
 The holes of a length that a longer length may still reach are not gaps,
 but no sequence of that length attains them, so the classification's
-search at that length leaves them out (:func:`hole_window`).  A
-between-range certificate depends on its length and value alone, so every
-degree slices those of a length from one shared row; every such row ends at
-C(s,2), so its lowest value follows from its length.
+search at that length leaves them out (:func:`hole_window`).  Both rules
+are kept as runs of consecutive values, at most two per length
+(:func:`certified_runs`); a certificate is built only when a list of them
+is asked for (:func:`certified_gaps`).
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import threading
 import warnings
 from functools import cache
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyFamilyError, _check_degree
 from .macaulay import binomial, genus, macaulay_bound
@@ -253,8 +253,8 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     A run certifies ``range(start, stop)`` at length ``s``, whose range tops
     out at ``top``: first the holes below the next range's minimum, then the
     integers up to that minimum when the two ranges are separated.  Cached
-    by degree, so a classification's step 2 builds the runs and its step 3
-    reads them.
+    by degree, so a classification's step 2 ORs them into its mask and each
+    read of its gaps expands them again (:func:`certified_gaps`).
     """
     _check_degree(d)
     runs: list[tuple[int, int, str, int, int]] = []
@@ -283,19 +283,6 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     return tuple(runs)
 
 
-@cache
-def _between_rows() -> dict[int, list[GapCertificate]]:
-    """By length s, the between-range certificates of s for the values C(s,2) - len(row) .. C(s,2) - 1.
-
-    A between-range certificate ``(v, "between-ranges", s, None)`` does not
-    depend on the degree, and every degree's between-range run at length s
-    ends at C(s,2), so each run is a suffix of the row and the row's lowest
-    value follows from its length.  No lock: a row is a pure function of its
-    length and lowest value, so threads that race only build one twice.
-    """
-    return {}
-
-
 def certified_gaps(d: int) -> list[GapCertificate]:
     """All gaps certified by closed formulas, sorted by value: the runs of :func:`certified_runs`.
 
@@ -306,30 +293,12 @@ def certified_gaps(d: int) -> list[GapCertificate]:
     range at all; the tests hold this set to a reference that computes that
     complement from the exact range endpoints.
 
-    A between-range run is sliced from its length's row in
-    :func:`_between_rows`, shared by every degree and extended downward
-    only when the run starts below it; the hole certificates, whose ``i``
-    depends on the degree, are built per call.  The list is new on every
-    call; the certificates in it are shared.
+    Each run is expanded into its certificates on every call, so the list
+    and the certificates in it are new each time and nothing is kept.
     """
-    rows = _between_rows()
     out: list[GapCertificate] = []
     for start, stop, reason, s, top in certified_runs(d):
-        if reason == "hole-always-gap":
-            out.extend(_certificates(start, stop, reason, s, range(top - start, top - stop, -1)))
-            continue
-        row = rows.get(s, ())
-        lo = stop - len(row)
-        if start < lo:
-            row = rows[s] = [*_certificates(start, lo, reason, s, repeat(None)), *row]
-            lo = start
-        out += row[start - lo:] if start > lo else row
+        i = range(top - start, top - stop, -1) if reason == "hole-always-gap" else repeat(None)
+        # tuple.__new__ builds each GapCertificate without the NamedTuple's per-call __new__
+        out += map(tuple.__new__, repeat(GapCertificate), zip(range(start, stop), repeat(reason), repeat(s), i))
     return out
-
-
-def _certificates(
-    start: int, stop: int, reason: str, s: int, i: Iterable[Optional[int]]
-) -> Iterator[GapCertificate]:
-    """The certificates of ``range(start, stop)`` at length ``s``, lazily; ``i`` yields their fourth fields."""
-    # tuple.__new__ builds each GapCertificate without the NamedTuple's per-call __new__
-    return map(tuple.__new__, repeat(GapCertificate), zip(range(start, stop), repeat(reason), repeat(s), i))

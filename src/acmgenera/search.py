@@ -6,7 +6,7 @@ subtree whose root already exceeds it; the genus never decreases along tree
 edges, so the pruning loses nothing.  A finite family's search asks the
 per-length rule for one genus (:func:`~acmgenera._kernels.length_witness`).
 The classification combines the certain genera from the degree recursion,
-the closed-form gap certificates, and one rule for the values still pending,
+the runs of closed-form gaps, and one rule for the values still pending,
 applied for s = 2 .. d in ascending order: a pending value below the least
 genus of length s is a gap, and at each length whose genus ceiling reaches
 the least pending value the whole pending mask goes to the per-length rule
@@ -20,13 +20,11 @@ one by one pruned walk per genus.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb
 from time import perf_counter
 from typing import NamedTuple
 
 from . import _kernels, ranges
-from ._kernels import _set_bits
 from .continuity import GenusSet, certain_genera
 from .errors import _check_degree
 from .macaulay import genus
@@ -91,40 +89,57 @@ def count_osequences(d: int) -> int:
 
 
 class DegreeClassification(NamedTuple):
-    """Full partition of [0, C(d-1,2)] into genera and gaps for one degree."""
+    """Full partition of [0, C(d-1,2)] into genera and gaps for one degree.
+
+    The gaps are kept as masks: the closed-form ones as the degree's runs
+    (:func:`~acmgenera.ranges.certified_runs`) and the ones step 3 found as
+    ``searched_gaps``; :attr:`gaps` builds their certificates when read.
+    """
 
     d: int
     genera: GenusSet
-    gaps: list[GapCertificate]  # sorted by value; provenance_of bisects it
+    searched_gaps: GenusSet  # the gaps that step 3 found
     witnesses: dict[int, tuple[int, ...]]
     certain: GenusSet  # step-1 subset of genera
     stats: dict[str, int]
 
+    @property
+    def gaps(self) -> list[GapCertificate]:
+        """Every gap's certificate, sorted by value: a new list on each read; bind it once in loops."""
+        searched = [GapCertificate(g, "searched") for g in self.searched_gaps]
+        return sorted(certified_gaps(self.d) + searched)  # unique values: tuple order is value order
+
+    def __repr__(self) -> str:
+        return (
+            f"DegreeClassification(d={self.d!r}, genera={self.genera!r}, gaps={self.gaps!r}, "
+            f"witnesses={self.witnesses!r}, certain={self.certain!r}, stats={self.stats!r})"
+        )
+
     def gap_values(self) -> list[int]:
-        return [c.value for c in self.gaps]
+        return list(GenusSet(self.d, ~self.genera.bits))
 
     def provenance_of(self, value: int) -> str:
         """One of step1, step2, searched, post-loop (the last two are step 3).
 
         Raises ValueError for a value outside [0, C(d-1,2)].
         """
+        if not 0 <= value <= comb(self.d - 1, 2):
+            raise ValueError(f"value {value} outside [0, C({self.d}-1,2)]")
         if value in self.certain:
             return "step1"
         if value in self.witnesses:
             return "searched"
-        i = bisect_left(self.gaps, value, key=lambda c: c.value)
-        if i == len(self.gaps) or self.gaps[i].value != value:
-            raise ValueError(f"value {value} outside [0, C({self.d}-1,2)]")
-        return "step2" if self.gaps[i].reason != "searched" else "post-loop"
+        return "post-loop" if value in self.searched_gaps else "step2"
 
 
 def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:
     """Classify every integer in [0, C(d-1,2)] as genus or gap for degree ``d``.
 
-    Step 1 takes the certain genera from the degree recursion and step 2 the
-    closed-form gap certificates.  Step 3 masks the certified values out, one
-    OR per run of :func:`~acmgenera.ranges.certified_runs` (cached, so step 2
-    built them), keeps the rest as a bitmask and applies one rule for
+    Step 1 takes the certain genera from the degree recursion, and step 2
+    ORs the runs of closed-form gaps (:func:`~acmgenera.ranges.certified_runs`)
+    into a mask, one OR per run; no certificate is built here, the result's
+    :attr:`~DegreeClassification.gaps` builds them when read.  Step 3 keeps
+    the values in neither mask as a bitmask and applies one rule for
     s = 2 .. d in ascending order: a pending value below ``min_genus(s)`` was
     attained at no shorter length and no longer one can reach it, so it is a
     gap; the pending values in ``[min_genus(s), max_genus(d, s)]`` are looked
@@ -147,23 +162,24 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     int, read again from the mask only after a length with hits or once
     ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
 
-    ``timings``, when given, receives wall-clock seconds per step.
+    ``timings``, when given, receives wall-clock seconds per step; step 2's
+    times the runs ORed into the mask.
     Raises :class:`BudgetError` for a degree above the kernels' degree budget.
     """
     _check_degree(d)
     t0 = perf_counter()
     certain = certain_genera(d)
     t1 = perf_counter()
-    certificates = certified_gaps(d)
-    t2 = perf_counter()
-
     certified_bits = 0
     for start, stop, *_ in ranges.certified_runs(d):
         certified_bits |= ((1 << (stop - start)) - 1) << start
-    undecided = GenusSet.universe_mask(d) & ~certain.bits & ~certified_bits
+    t2 = perf_counter()
+
+    universe = GenusSet.universe_mask(d)
+    undecided = universe & ~certain.bits & ~certified_bits
     stats = {
         "certain_genera": len(certain),
-        "certain_gaps": len(certificates),
+        "certain_gaps": certified_bits.bit_count(),
         "searched": undecided.bit_count(),
     }
 
@@ -190,12 +206,9 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
 
     genera = GenusSet(d, certain.bits | found_bits)
     searched_gaps = undecided & ~found_bits
-    step3_gaps = [GapCertificate(g, "searched") for g in _set_bits(searched_gaps)]
-    gaps = sorted(certificates + step3_gaps)  # unique values: tuple order is value order
     gap_bits = certified_bits | searched_gaps
-    if (genera.bits & gap_bits or genera.bits | gap_bits != GenusSet.universe_mask(d)
-            or certified_bits.bit_count() != len(certificates)):
+    if genera.bits & gap_bits or genera.bits | gap_bits != universe:
         raise RuntimeError(f"genera and gaps do not partition the range for d={d}")
     if timings is not None:
         timings.update({"step1": t1 - t0, "step2": t2 - t1, "step3": perf_counter() - t2})
-    return DegreeClassification(d, genera, gaps, witnesses, certain, stats)
+    return DegreeClassification(d, genera, GenusSet(d, searched_gaps), witnesses, certain, stats)

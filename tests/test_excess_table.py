@@ -9,6 +9,7 @@ profile's dynamic program, to the independent dynamic program in
 ``perfbench/checker.py``, and to the rule that the long lengths walk no
 tree.
 """
+import hashlib
 import random
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from acmgenera import (
     multiplicity,
 )
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
+from acmgenera.errors import MAX_DEGREE
 from acmgenera.ranges import hole_window
 from conftest import independent_checker, record_step3_requests, reference_walk
 
@@ -304,6 +306,41 @@ def test_the_degree_budget_classifies_within_the_table_limit():
     cls = acm_genera(1000)
     assert len(cls.genera) + len(cls.gaps) == comb(999, 2) + 1
     assert len(_kernels._excess_table()[2]) == 58
+
+
+def test_the_genera_of_degree_k_plus_1_lie_in_the_offsets_of_excess_k():
+    # an O-sequence (1, e_1, ..., e_r) of multiplicity k + 1 has excesses
+    # e_i summing to k, and (1, e_1 + 1, ..., e_r + 1, 1, ..., 1) is admissible,
+    # since a -> a^<t> strictly increases; its offset sum (i-1)e_i is the first
+    # sequence's genus.  acm_genera(k + 1) reads the rows of excess up to
+    # about (k + 1)/2, so this ties those rows to Off(k)
+    acmgenera.clear_caches()
+    for k in range(61):
+        assert acm_genera(k + 1).genera.bits & ~_kernels._excess_offsets(k) == 0, k
+
+
+# sha256 of repr([(d, the largest excess d - s that step 3 asks at d), ...]) over
+# the degrees 3..1000 whose step 3 asks a long length
+LARGEST_EXCESS_BY_DEGREE = "d7e408aa8a8139057e31a716e5f5eaa0b90f2f51c4f23ae56eb641c7b1c89f4b"
+
+
+@pytest.mark.slow
+def test_the_largest_excess_step_3_asks_is_pinned_up_to_the_degree_budget(monkeypatch):
+    # a classification sized before it runs would check this excess against
+    # MAX_EXCESS; the pin catches a step 3 that asks a larger one
+    largest = {}
+
+    def spy(d, s, offsets, _inner=_kernels.long_length_hits):
+        largest[d] = max(largest.get(d, 0), d - s)
+        return _inner(d, s, offsets)
+
+    monkeypatch.setattr(_kernels, "long_length_hits", spy)
+    acmgenera.clear_caches()
+    for d in range(3, MAX_DEGREE + 1):
+        acm_genera(d)
+    pairs = sorted(largest.items())
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == LARGEST_EXCESS_BY_DEGREE
+    assert max(largest.values()) == largest[MAX_DEGREE] == 57 <= _kernels.MAX_EXCESS
 
 
 def _assert_present_offsets_follow_the_profile(degrees, max_excess):

@@ -314,9 +314,8 @@ def test_certified_gaps_ascend_and_equal_the_two_rules():
 
 
 def test_certified_gaps_equal_the_reference_loop():
-    # the between-range certificates come from rows shared by every degree:
-    # descending and shuffled orders extend them downward, and a cleared
-    # cache builds each degree's rows alone
+    # the certificates are built from the cached runs on every call: no
+    # order of degrees and no cleared cache may change a list
     degrees = list(range(1, 301))
     expected = {d: reference_certified_gaps(d) for d in degrees}
     shuffled = degrees[:]
@@ -327,7 +326,6 @@ def test_certified_gaps_equal_the_reference_loop():
             got = certified_gaps(d)
             assert got == expected[d], d
             assert all(type(c) is GapCertificate for c in got), d
-        assert ranges._between_rows()  # the degrees filled the shared rows
     for d in degrees[::-1]:
         clear_caches()
         assert certified_gaps(d) == expected[d], d
@@ -353,8 +351,8 @@ def test_changing_a_returned_certificate_list_changes_no_later_answer():
 
 
 def test_threads_sharing_the_certificate_rows_agree_with_one_thread():
-    # the rows are read and replaced without a lock; a race may build a row
-    # twice, but every answer and every stored row must stay exact
+    # the threads share the cached runs that every list is built from; a
+    # race may build a degree's runs twice, but every answer must stay exact
     degrees = list(range(3, 161))
     expected = {d: reference_certified_gaps(d) for d in degrees}
     orders = [random.Random(i).sample(degrees, len(degrees)) for i in range(6)]
@@ -378,12 +376,6 @@ def test_threads_sharing_the_certificate_rows_agree_with_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(orders)
-    rows = ranges._between_rows()
-    for s, row in rows.items():
-        lo = binomial(s, 2) - len(row)
-        assert row == [GapCertificate(v, "between-ranges", s) for v in range(lo, binomial(s, 2))], s
-    # every length with a between-range run at some degree above has a row
-    assert set(rows) == {s for d in degrees for s in separated_after(d)}
     clear_caches()
 
 

@@ -8,6 +8,7 @@ import acmgenera.search as search_module
 from acmgenera import (
     BudgetError,
     EmptyFamilyError,
+    GapCertificate,
     GenusSet,
     TreeFamily,
     acm_genera,
@@ -27,6 +28,7 @@ from acmgenera.search import brute_force_length_profile
 from conftest import (
     independent_checker,
     record_step3_requests,
+    reference_certified_gaps,
     reference_genera,
     reference_genera_by_length,
     reference_sequences,
@@ -290,11 +292,18 @@ def test_step3_classifies_what_steps_1_and_2_leave(monkeypatch, step, nothing):
         assert acm_genera(d).genera == brute_force_genera(d), d
 
 
-def test_step2_certificates_and_step3_mask_must_agree(monkeypatch):
-    # step 3 ORs the runs behind step 2's list; a list that lost a value fails loudly
-    monkeypatch.setattr(search_module, "certified_gaps", lambda d: ranges.certified_gaps(d)[1:])
-    with pytest.raises(RuntimeError, match="partition"):
-        acm_genera(30)
+def test_gaps_are_built_on_read_from_the_runs_and_the_searched_gaps():
+    # a classification keeps its gaps as masks; each read of ``gaps`` expands
+    # them, and gap_values and provenance_of read the masks alone
+    for d in range(1, 201):
+        cls = acm_genera(d)
+        gaps = cls.gaps
+        assert [c.value for c in gaps] == cls.gap_values(), d
+        assert all(
+            cls.provenance_of(c.value) == ("post-loop" if c.reason == "searched" else "step2") for c in gaps
+        ), d
+        searched = [GapCertificate(v, "searched") for v in cls.searched_gaps]
+        assert gaps == sorted(reference_certified_gaps(d) + searched), d
 
 
 def test_step3_sends_no_hole_value_to_its_length(monkeypatch):

@@ -24,19 +24,26 @@ def test_one_classification_traces_each_step_once_under_its_span():
     # or more than once would make them read 0 or double without failing.
     # Step 3 asks _kernels.length_hits at every length, short ones included,
     # so search_fixed_both is traced at no degree, not even at d = 15, whose
-    # step 3 holds a pending value at a short length
+    # step 3 holds a pending value at a short length.  A classification
+    # builds no certificate: each read of its gaps calls certified_gaps once,
+    # outside the classification's span
     tracer_module = benchmark_tracer()
+    name_of, parent_of = tracer_module.NAME, tracer_module.PARENT
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         for d in (15, 40, 100):
             tracer.spans.clear()
-            acmgenera.acm_genera(d)
-            names = [span[tracer_module.NAME] for span in tracer.spans]
+            cls = acmgenera.acm_genera(d)
+            names = [span[name_of] for span in tracer.spans]
             (top,) = [i for i, name in enumerate(names) if name == "search.acm_genera"]
-            for step in ("ranges.certified_gaps", "continuity.certain_genera"):
-                (i,) = [i for i, name in enumerate(names) if name == step]
-                assert tracer.spans[i][tracer_module.PARENT] == top, (d, step)
+            (i,) = [i for i, name in enumerate(names) if name == "continuity.certain_genera"]
+            assert tracer.spans[i][parent_of] == top, d
+            assert "ranges.certified_gaps" not in names, d
             assert "kernels.search_fixed_both" not in names, d
+            for reads in (1, 2):
+                assert cls.gaps, d
+                spans = [span for span in tracer.spans if span[name_of] == "ranges.certified_gaps"]
+                assert len(spans) == reads and all(span[parent_of] == -1 for span in spans), (d, reads)
     finally:
         tracer.uninstall()
