@@ -78,14 +78,17 @@ def _cmd_genera(args) -> int:
         return EXIT_DOMAIN
     if args.format == "csv":
         import csv
+        import io
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        # one pass over the masks' digits, and one string to _print: a write per row into a pipe is slow
+        out, w = io.StringIO(), cls.witnesses
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["value", "status", "provenance", "witness"])
-        for value in range(comb(args.d - 1, 2) + 1):
-            status = "genus" if value in cls.genera else "gap"
-            witness = format_oseq(cls.witnesses[value]) if value in cls.witnesses else ""
-            writer.writerow([value, status, cls.provenance_of(value), witness])
-        return EXIT_OK
+        writer.writerows(
+            (v, "genus" if digit == "1" else "gap", provenance, format_oseq(w[v]) if v in w else "")
+            for v, (digit, provenance) in enumerate(zip(cls.genera.digits(), cls.provenances()))
+        )
+        return _print(args.format, None, [out.getvalue()[:-1]])
     record = {
         "d": cls.d,
         "genera": cls.genera.to_list(),

@@ -55,6 +55,10 @@ class GenusSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
+    def digits(self) -> str:
+        """Membership of each value 0..C(d-1,2), lowest first, as one "0"/"1" character each."""
+        return bin(self.bits)[:1:-1].ljust(comb(self.d - 1, 2) + 1, "0")
+
     def __eq__(self, other) -> bool:
         return isinstance(other, GenusSet) and (self.d, self.bits) == (other.d, other.bits)
 

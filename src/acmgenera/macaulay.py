@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import MAX_DEGREE, BudgetError
@@ -151,12 +152,8 @@ def hilbert_data(h, tmax: int) -> HilbertData:
     ht = check_oseq(h)
     if tmax < 0:
         raise ValueError("tmax must be non-negative")
-    hz = [1]
-    for t in range(1, tmax + 1):
-        hz.append(hz[-1] + (ht[t] if t < len(ht) else 0))
-    hc = [1]
-    for t in range(1, tmax + 1):
-        hc.append(hc[-1] + hz[t])
+    hz = list(accumulate(ht[t] if t < len(ht) else 0 for t in range(tmax + 1)))
+    hc = list(accumulate(hz))
     return HilbertData(ht, tuple(hz), tuple(hc), (multiplicity(ht), 1 - genus(ht)))
 
 

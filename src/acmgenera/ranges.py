@@ -19,7 +19,9 @@ The holes of a length that a longer length may still reach are not gaps,
 but no sequence of that length attains them, so the classification's
 search at that length leaves them out (:func:`hole_window`).  Both rules
 are kept as runs of consecutive values, at most two per length
-(:func:`certified_runs`); a certificate is built only when a list of them
+(:func:`certified_runs`), composed from the functions that define the
+rules: :func:`closed_max_genus`, :func:`min_genus`, :func:`_hole_count`
+and :func:`is_separated`.  A certificate is built only when a list of them
 is asked for (:func:`certified_gaps`).
 """
 from __future__ import annotations
@@ -171,9 +173,7 @@ def is_separated(d: int, s: int) -> bool:
     Evaluated exactly: the real-root condition on ``s`` is squared and
     cleared of denominators, so no floating point is involved.
     """
-    if not 2 <= s <= d - 1:
-        return False
-    return (2 * d + 1 - 2 * s) ** 2 < 8 * d - 15
+    return 2 <= s <= d - 1 and (2 * d + 1 - 2 * s) ** 2 < 8 * d - 15
 
 
 def separated_after(d: int) -> set[int]:
@@ -251,35 +251,24 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     """The closed-form gaps as ascending runs ``(start, stop, reason, s, top)``, at most two per length.
 
     A run certifies ``range(start, stop)`` at length ``s``, whose range tops
-    out at ``top``: first the holes below the next range's minimum, then the
-    integers up to that minimum when the two ranges are separated.  Cached
+    out at ``top = closed_max_genus(d, s)``: first the holes
+    (:func:`_hole_count`) below the next range's minimum ``min_genus(s + 1)``,
+    then the integers up to that minimum when :func:`is_separated` holds.
+    Both rules apply only from ``s = d//2 + 1`` on, and length ``s``
+    certifies only values in ``[min_genus(s), min_genus(s + 1))``, so one
+    ascending pass over the long lengths yields the runs in order.  Cached
     by degree, so a classification's step 2 ORs them into its mask and each
     read of its gaps expands them again (:func:`certified_gaps`).
     """
     _check_degree(d)
     runs: list[tuple[int, int, str, int, int]] = []
-    # Both rules start at s = d//2 + 1 (below it (2d+1-2s)^2 >= 8d-15, so no
-    # s is separated), and length s certifies only values in [C(s-1,2),
-    # C(s,2)): holes inside its range below the top, between-range values
-    # above the top and below min_genus(s+1).  So one ascending pass over s,
-    # holes first, yields the runs in order.  With k = d - s, the top is
-    # C(s-1,2) + C(k,2) (closed_max_genus), s holds k - 3 holes when
-    # d >= 12 and k >= 4 (_hole_count), and is separated when
-    # (2k + 1)^2 < 8d - 15 (is_separated); C(s-1,2) and C(k,2) are carried
-    # from one s to the next.
-    s = d // 2 + 1
-    k, low = d - s, (s - 1) * (s - 2) // 2
-    excess_top, room = k * (k - 1) // 2, 8 * d - 15
-    has_holes = d >= 12
-    while k >= 1:
-        top, nxt = low + excess_top, low + s - 1
-        start, stop = top - (k - 3 if has_holes and k >= 4 else 0), min(top, nxt)
+    for s in range(d // 2 + 1, d):
+        top, nxt = closed_max_genus(d, s), min_genus(s + 1)
+        start, stop = top - _hole_count(d, s), min(top, nxt)
         if start < stop:
             runs.append((start, stop, "hole-always-gap", s, top))
-        if (2 * k + 1) ** 2 < room:
+        if is_separated(d, s):
             runs.append((top + 1, nxt, "between-ranges", s, top))
-        low, s, k = nxt, s + 1, k - 1
-        excess_top -= k
     return tuple(runs)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb
 from time import perf_counter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import _kernels, ranges
 from .continuity import GenusSet, certain_genera
@@ -125,11 +125,17 @@ class DegreeClassification(NamedTuple):
         """
         if not 0 <= value <= comb(self.d - 1, 2):
             raise ValueError(f"value {value} outside [0, C({self.d}-1,2)]")
-        if value in self.certain:
-            return "step1"
-        if value in self.witnesses:
-            return "searched"
-        return "post-loop" if value in self.searched_gaps else "step2"
+        return _provenance(value in self.certain, value in self.witnesses, value in self.searched_gaps)
+
+    def provenances(self) -> Iterator[str]:
+        """:meth:`provenance_of` of every value 0..C(d-1,2), ascending, from one read of each mask."""
+        for value, (certain, searched_gap) in enumerate(zip(self.certain.digits(), self.searched_gaps.digits())):
+            yield _provenance(certain == "1", value in self.witnesses, searched_gap == "1")
+
+
+def _provenance(certain: bool, witnessed: bool, searched_gap: bool) -> str:
+    """Where a value was decided: step 1's certain genera, then step 3's genera and gaps, else step 2."""
+    return "step1" if certain else "searched" if witnessed else "post-loop" if searched_gap else "step2"
 
 
 def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassification:

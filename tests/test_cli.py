@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,21 @@ def test_genera_csv(capsys):
     assert table[0] == ["genus", "step1", ""]
     assert table[8] == ["gap", "step2", ""]
     assert sum(1 for r in table.values() if r[0] == "gap") == 6
+
+
+def test_genera_csv_rows_agree_with_the_classification(capsys):
+    # the rows read each mask once; provenance_of and membership read one value each
+    for d in range(1, 121):
+        code, out, _ = run_cli(["genera", str(d), "--format", "csv"], capsys)
+        assert code == 0
+        cls = acm_genera(d)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(r[0]) for r in rows] == list(range(comb(d - 1, 2) + 1)), d
+        for value, status, provenance, witness in rows:
+            v = int(value)
+            assert status == ("genus" if v in cls.genera else "gap"), (d, v)
+            assert provenance == cls.provenance_of(v), (d, v)
+            assert witness == (format_oseq(cls.witnesses[v]) if v in cls.witnesses else ""), (d, v)
 
 
 def test_genera_text_and_oracle(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -30,6 +31,7 @@ from acmgenera.ranges import (
     closed_max_genus,
     closed_max_oseq,
     hole_window,
+    is_separated,
 )
 from acmgenera.search import brute_force_genera, brute_force_length_profile
 from conftest import (
@@ -205,6 +207,14 @@ def test_separated_matches_enumeration():
             if max(reference_genera_by_length(d, s)) < min_genus(s + 1) - 1
         }
         assert separated_after(d) == expected, d
+
+
+def test_is_separated_is_a_gap_of_width_above_one_to_the_next_range():
+    # the closed form (2k+1)^2 < 8d - 15, k = d - s, against the exact range
+    # endpoints: every long length up to the degree budget, every length to d = 200
+    for d in range(3, MAX_DEGREE + 1):
+        for s in range(2 if d <= 200 else d // 2 + 1, d):
+            assert is_separated(d, s) == (max_genus(d, s) + 1 < min_genus(s + 1)), (d, s)
 
 
 def test_separated_lengths_form_a_tail():
@@ -409,6 +419,13 @@ def _assert_runs_equal_the_reference(degrees):
 
 def test_certified_runs_equal_the_reference():
     _assert_runs_equal_the_reference(range(1, 301))
+
+
+def test_certified_runs_are_pinned_up_to_the_degree_budget():
+    # the reference above reads closed_max_genus and is_separated, as certified_runs
+    # does, so only this digest sees an edit to a rule function that both would follow
+    digest = hashlib.sha256(repr([certified_runs(d) for d in range(1, MAX_DEGREE + 1)]).encode()).hexdigest()
+    assert digest == "c5ac5b298a75ea4fbf0bc76706ce1d1e68036352c096ed4dc6122fb0e2c622bb"
 
 
 @pytest.mark.slow
