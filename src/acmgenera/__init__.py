@@ -76,8 +76,9 @@ def clear_caches():
     (``_kernels._profile``) and the certain genera
     (``continuity._certain_mask``, with the degrees below 32 in
     ``continuity._plain_masks``); the backward excess table of the long
-    lengths (``_kernels._excess_table``) and its witnesses by excess and
-    offset (``_kernels._excess_witness``); and by length, the rows of top
+    lengths with its first-entry masks and Off(k) by excess
+    (``_kernels._excess_table``) and its witnesses by excess and offset
+    (``_kernels._excess_witness``); and by length, the rows of top
     genera at the short lengths, each resumed from its generator
     (``ranges._row``); and by degree, the runs of closed-form gaps
     (``ranges.certified_runs``), at most two per length, from which every

@@ -27,7 +27,7 @@ sequence is a closed form.
 from __future__ import annotations
 
 import threading
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import or_
@@ -268,18 +268,21 @@ MAX_EXCESS = 87
 
 
 @cache
-def _excess_table() -> tuple[list, list, list, list, threading.Lock]:
-    """The backward excess table so far: (R, P, off, state, lock).
+def _excess_table() -> tuple[list, list, list, list, list, threading.Lock]:
+    """The backward excess table so far: (R, P, off, M, state, lock).
 
     ``R[i][u][v]`` is the bitmask of the suffix offsets sum_{j>=i} (j-1) e_j
     over the admissible excess suffixes e_i = v, e_{i+1}, ... with
-    sum_{j>=i} e_j = u, kept for i + u <= K + 1, and ``P[i][u][v]`` the OR
-    of ``R[i][u][:v + 1]``; ``off[k]`` is Off(k) for k <= K; ``state`` is
-    [``bound_table(K + 2)``], which holds every bound the table and the
+    sum_{j>=i} e_j = u, kept for i + u <= K + 1, and ``P[i][u][v]``, for
+    i >= 3, the OR of ``R[i][u][:v + 1]``.  ``M[k][v]``, a first-entry mask
+    of excess k, is the OR of ``R[2][u][v]`` over the sums u < k whose cap
+    at position 2, min(B(k - u + 1, 1) - 1, u), is at least v: the offsets
+    of excess k whose e_2 is v.  ``off[k]`` is Off(k) for k <= K; ``state``
+    is [``bound_table(K + 2)``], which holds every bound the table and the
     witnesses read.  None of it depends on k or d, so
     :func:`_excess_offsets` grows it in place, under ``lock``.
     """
-    return [], [], [], [None], threading.Lock()
+    return [], [], [], [], [None], threading.Lock()
 
 
 def _excess_offsets(k: int) -> int:
@@ -290,13 +293,16 @@ def _excess_offsets(k: int) -> int:
     when w + 1 <= macaulay_bound(v + 1, i), a prefix of w, so each entry is
     one prefix OR over row (i + 1, u - v), shifted by (i - 1) v.  A sum u at
     position i needs k >= u + i - 1, e_1..e_{i-1} being positive, which
-    bounds the rows kept.  Off(k) ORs the rows R[2][u], u < k, up to the
-    entries that h_1 = k - u + 1 allows at position 2.  An excess above
+    bounds the rows kept.  Then each new excess j gets its first-entry
+    masks M[j], ORed from the rows R[2][u], u < j, up to the entries that
+    h_1 = j - u + 1 allows at position 2, and Off(j) is 1, the all-ones
+    sequence, ORed with every M[j][v].  M[j] is appended before off[j],
+    and a reader that finds off[j] needs no lock.  An excess above
     ``MAX_EXCESS`` raises :class:`BudgetError` before any row is built.
     """
     if k > MAX_EXCESS:
         raise BudgetError(f"the excess table through k={k} exceeds the budget (limit {MAX_EXCESS})")
-    R, P, off, state, lock = _excess_table()
+    R, P, off, M, state, lock = _excess_table()
     if k < len(off):  # off[k] is appended once its rows are built, so a warm read needs no lock
         return off[k]
     with lock:
@@ -311,13 +317,19 @@ def _excess_offsets(k: int) -> int:
                     row = [0] + [prefix[u - v][min(row_b[v + 1] - 1, u - v)] << (i - 1) * v
                                  for v in range(1, u + 1)]
                     rows.append(row)
-                    P[i].append(list(accumulate(row, or_)))
+                    if i > 2:  # position 2 is read through M, not P
+                        P[i].append(list(accumulate(row, or_)))
             state[0] = tab
+            row_b = tab[1]
             for j in range(len(off), k + 1):
-                acc = int(j == 0)  # (1, 1, ..., 1)
-                for u in range(j):
-                    acc |= P[2][u][min(tab[1][j - u + 1] - 1, u)]
-                off.append(acc)
+                caps = [min(row_b[j - u + 1] - 1, u) for u in range(j)]
+                first = [0] * (max(caps, default=-1) + 1)
+                for u, cap in enumerate(caps):
+                    row = R[2][u]  # read per sum: at j = 0 there is none, and no R[2]
+                    for v in range(cap + 1):
+                        first[v] |= row[v]
+                M.append(first)
+                off.append(reduce(or_, first, 1))
     return off[k]
 
 
@@ -327,17 +339,30 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
 
     That vertex has the lexicographically largest (e_2, e_3, ...), so each
     entry is taken as large as the table allows, keeping the suffix sums
-    still possible.  At position 2 a sum u leaves e_1 = k - u, and h_2 <=
-    h_1(h_1+1)/2 caps e_2; further on, e_{i-1} caps e_i.  Needs Off(k)
-    built and bit o set in it.
+    still possible.  e_2 is the largest v whose first-entry mask M[k][v]
+    holds o, one bit test per value, and the sums kept are the u < k whose
+    row R[2][u][e_2] holds o and whose cap at position 2 reaches e_2: a sum
+    u leaves e_1 = k - u, and h_2 <= h_1(h_1+1)/2 caps e_2.  Further on,
+    e_{i-1} caps e_i, and each kept sum is scanned down from its cap.
+    Needs Off(k) built and bit o set in it.
     """
     if not k:
         return (1,)
-    R, _, _, (tab,), _ = _excess_table()
-    cands = [(u, min(tab[1][k - u + 1] - 1, u)) for u in range(k)]
+    R, _, _, M, (tab,), _ = _excess_table()
+    first = M[k]
+    best = len(first) - 1
+    while not first[best] >> o & 1:
+        best -= 1
+    rows, row_b = R[2], tab[1]
+    keep = [u for u in range(best, k) if row_b[k - u + 1] > best and rows[u][best] >> o & 1]
     core = []
     i = 2
-    while True:
+    while best > 0:
+        core.append(best + 1)
+        o -= (i - 1) * best
+        cap = tab[i][best + 1] - 1
+        cands = [(u - best, min(cap, u - best)) for u in keep]
+        i += 1
         rows, best, keep = R[i], -1, []
         for u, cap in cands:
             row = rows[u]
@@ -347,13 +372,6 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
                         best, keep = v, []
                     keep.append(u)
                     break
-        if best <= 0:
-            break
-        core.append(best + 1)
-        o -= (i - 1) * best
-        cap = tab[i][best + 1] - 1
-        cands = [(u - best, min(cap, u - best)) for u in keep]
-        i += 1
     e1 = k - sum(core) + len(core)
     return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
 

@@ -28,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 
+_CHUNK_LINES = 4096
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -40,15 +42,27 @@ def _print(fmt: str, record, lines) -> int:
     """Print ``record`` as sorted-key JSON when ``fmt`` is "json", else each of ``lines``.
 
     A command derives its text ``lines`` from the record it builds; they are
-    read only for text, so a generator costs nothing under JSON.
+    read only for text, so a generator costs nothing under JSON.  Text goes
+    out in joined chunks of ``_CHUNK_LINES`` lines, one write each, since a
+    write per line into a pipe costs more than the lines.  If ``lines``
+    raises, the lines already read are written before the error passes on,
+    so a walk stopped by its budget prints what it visited.
     """
     if fmt == "json":
         import json
 
         print(json.dumps(record, sort_keys=True))
-    else:
+        return EXIT_OK
+    chunk = []
+    try:
         for line in lines:
-            print(line)
+            chunk.append(line)
+            if len(chunk) == _CHUNK_LINES:
+                sys.stdout.write("\n".join(chunk) + "\n")
+                chunk.clear()
+    finally:
+        if chunk:
+            sys.stdout.write("\n".join(chunk) + "\n")
     return EXIT_OK
 
 

@@ -227,6 +227,49 @@ def reference_walk(d, s, targets, bounds):
     return found
 
 
+# the greedy witness pass that scanned every suffix sum's candidates at
+# position 2 before the excess table kept its first-entry masks
+
+
+def reference_excess_witness(k: int, o: int) -> tuple[int, ...]:
+    """(1, h_1, ..., h_k) of the canonical tree (2k + 1, k + 1)'s first vertex of offset o.
+
+    That vertex has the lexicographically largest (e_2, e_3, ...), so each
+    entry is taken as large as the table allows, keeping the suffix sums
+    still possible.  At position 2 a sum u leaves e_1 = k - u, and h_2 <=
+    h_1(h_1+1)/2 caps e_2; further on, e_{i-1} caps e_i.  Reads the rows
+    R[i][u][v] of ``_kernels._excess_table``; needs Off(k) built and bit o
+    set in it.
+    """
+    from acmgenera import _kernels
+
+    if not k:
+        return (1,)
+    R, *_, (tab,), _ = _kernels._excess_table()
+    cands = [(u, min(tab[1][k - u + 1] - 1, u)) for u in range(k)]
+    core = []
+    i = 2
+    while True:
+        rows, best, keep = R[i], -1, []
+        for u, cap in cands:
+            row = rows[u]
+            for v in range(cap, max(best, 0) - 1, -1):
+                if row[v] >> o & 1:
+                    if v > best:
+                        best, keep = v, []
+                    keep.append(u)
+                    break
+        if best <= 0:
+            break
+        core.append(best + 1)
+        o -= (i - 1) * best
+        cap = tab[i][best + 1] - 1
+        cands = [(u - best, min(cap, u - best)) for u in keep]
+        i += 1
+    e1 = k - sum(core) + len(core)
+    return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
+
+
 def record_step3_requests(monkeypatch) -> list:
     """Record each length that step 3 asks about, as (d, s, sorted target genera).
 

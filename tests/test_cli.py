@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+from itertools import islice
 from math import comb
 
 import pytest
@@ -187,6 +188,22 @@ def test_enumerate(capsys):
     assert adj["root"] == "1,4,1,1" and len(adj["edges"]) == 3
     code, out, _ = run_cli(["enumerate", "7", "--length", "3", "--export", "dot"], capsys)
     assert out.startswith("digraph") and '"1,4,2" -> "1,3,3";' in out
+
+
+@pytest.mark.parametrize("d, budget", [(12, 40), (40, 2 * cli._CHUNK_LINES + 7)])
+def test_enumerate_stopped_by_its_budget_prints_the_vertices_it_visited(monkeypatch, capsys, d, budget):
+    # text goes out in chunks of lines; a walk that raises BudgetError still
+    # prints every vertex it yielded, the whole chunks and the partial one,
+    # and then exits 3
+    from acmgenera import trees
+
+    first = islice(trees.iter_family(TreeFamily.fixed_multiplicity(d)), budget)
+    expected = "".join(f"{format_oseq(h)}\n" for h in first)
+    monkeypatch.setattr(trees, "DEFAULT_NODE_BUDGET", budget)
+    code, out, err = run_cli(["enumerate", str(d)], capsys)
+    assert code == 3 and err.startswith("budget exceeded")
+    assert out == expected
+    assert out.count("\n") == budget
 
 
 def test_hilbert(capsys):

@@ -30,6 +30,7 @@ from acmgenera import (
     genus,
     genus_search,
     is_admissible,
+    macaulay_bound,
     max_genus,
     min_genus,
     multiplicity,
@@ -37,7 +38,7 @@ from acmgenera import (
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.errors import MAX_DEGREE
 from acmgenera.ranges import hole_window
-from conftest import independent_checker, record_step3_requests, reference_walk
+from conftest import independent_checker, record_step3_requests, reference_excess_witness, reference_walk
 
 
 def _long_lengths(d):
@@ -132,7 +133,43 @@ def test_clear_caches_drops_the_excess_table():
     assert all(memo.cache_info().currsize for memo in memos)
     acmgenera.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0, 0]
-    assert _kernels._excess_table()[:3] == ([], [], [])
+    assert _kernels._excess_table()[:4] == ([], [], [], [])
+
+
+def test_the_witness_pass_equals_the_reference_on_every_offset():
+    # e_2 from the first-entry masks, the later entries by the scan both
+    # share, on all 11,481 offsets of Off(k) for k <= 45
+    acmgenera.clear_caches()
+    checked = 0
+    for k in range(46):
+        off = _kernels._excess_offsets(k)
+        for o in _kernels._set_bits(off):
+            assert _kernels._excess_witness(k, o) == reference_excess_witness(k, o), (k, o)
+            checked += 1
+    assert checked == 11481
+
+
+def test_the_offsets_are_the_or_of_the_first_entry_masks():
+    # M[k][v] ORs the rows R[2][u][v] of the sums u < k whose cap at
+    # position 2, min(B(k - u + 1, 1) - 1, u), reaches v; Off(k) is 1, the
+    # all-ones sequence, ORed with every M[k][v]
+    acmgenera.clear_caches()
+    off = [_kernels._excess_offsets(k) for k in range(61)]
+    R, _, _, M, (tab,), _ = _kernels._excess_table()
+    assert len(M) == len(off) == 61
+    for k in range(61):
+        caps = {u: min(macaulay_bound(k - u + 1, 1) - 1, u) for u in range(k)}
+        first = [0] * (max(caps.values(), default=-1) + 1)
+        for v in range(len(first)):
+            for u, cap in caps.items():
+                if cap >= v:
+                    first[v] |= R[2][u][v]
+        assert M[k] == first, k
+        masks = 1
+        for m in M[k]:
+            masks |= m
+        assert off[k] == masks, k
+        assert all(m for m in M[k]), k  # every e_2 up to the largest cap occurs
 
 
 def _record_walks(monkeypatch):
@@ -436,6 +473,43 @@ def test_threads_growing_the_table_agree_with_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [(expected, witnesses)] * len(orders)
+    _assert_tables_complete(excesses)
+
+
+def test_threads_sharing_the_first_entry_masks_agree_with_one_thread():
+    # each thread asks the whole offset range of its own excesses, so the
+    # table, its first-entry masks and the witnesses grow from a cleared
+    # table while other threads read them for other excesses
+    excesses = list(range(36))
+    groups = [excesses[i::4] for i in range(4)]
+    groups = [g if i % 2 else g[::-1] for i, g in enumerate(groups)]
+
+    def ask(ks):
+        return {k: _kernels.long_length_hits(2 * k + 1, k + 1, (1 << (comb(k, 2) + 1)) - 1) for k in ks}
+
+    acmgenera.clear_caches()
+    expected = ask(excesses)
+    results = [None] * len(groups)
+    start = threading.Barrier(len(groups))
+
+    def run(i):
+        start.wait()
+        results[i] = ask(groups[i])
+
+    acmgenera.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(groups))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [{k: expected[k] for k in g} for g in groups]
+    assert len(_kernels._excess_table()[3]) == len(excesses)
     _assert_tables_complete(excesses)
 
 
