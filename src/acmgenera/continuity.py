@@ -110,19 +110,45 @@ def _certain_mask(d: int) -> int:
     From degree 32 on, the mask reads only the degrees up to d // 2.  That
     the parts up to K fill 0..K(K-1) is checked at every degree up to
     MAX_DEGREE, and fails at 31; below 32 the mask is the plain recursion's
-    (:func:`_plain_masks`).  The recursion is at most about 40 calls deep at
-    MAX_DEGREE.
+    (:func:`_plain_masks`).  The term of a part k, degree j = d - k shifted
+    up by C(k,2), adds nothing below the prefix's top, so it is read only
+    from bit t = K(K-1) - C(k,2) on (:func:`_certain_term`), which spares
+    the full masks of the degrees near d // 2.  The recursion is at most
+    about 40 calls deep at MAX_DEGREE.
     """
     plain = _plain_masks()
     if d < 32:
         return plain[d]
     K = (d - 1) // 2
-    bits = (1 << K * (K - 1) + 1) - 1
+    top = K * (K - 1)
+    bits = (1 << top + 1) - 1
     shift = K * (K + 1) // 2  # C(k, 2) at k = K + 1
     for k in range(K + 1, d):
         j = d - k
-        bits |= (plain[j] if j < 32 else _certain_mask(j)) << shift
+        bits |= (plain[j] if j < 32 else _certain_term(j, top - shift)) << shift
         shift += k
+    return bits
+
+
+def _certain_term(j: int, t: int) -> int:
+    """Certain-genera bits of degree ``j`` (at least 32) that are ``t`` or more; lower bits may be missing.
+
+    When t lies above j's own all-ones prefix, only j's largest parts k can
+    reach it: each adds degree j - k's mask, whose top is C(j-k-1,2),
+    shifted up by C(k,2).  Their tops fall as k falls from j - 1 to the
+    first part above (j-1)//2, so the parts are taken downward until a top
+    falls below t.  Otherwise the term is the whole mask.
+    """
+    K = (j - 1) // 2
+    if t <= K * (K - 1):
+        return _certain_mask(j)
+    plain = _plain_masks()
+    bits, k, shift = 0, j - 1, (j - 1) * (j - 2) // 2  # shift = C(k, 2)
+    while k > K and shift + (j - k - 1) * (j - k - 2) // 2 >= t:
+        i = j - k
+        bits |= (plain[i] if i < 32 else _certain_mask(i)) << shift
+        k -= 1
+        shift -= k
     return bits
 
 

@@ -30,6 +30,7 @@ import threading
 import warnings
 from functools import cache
 from itertools import islice, repeat
+from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import EmptyFamilyError, _check_degree
@@ -256,13 +257,19 @@ def certified_runs(d: int) -> tuple[tuple[int, int, str, int, int], ...]:
     then the integers up to that minimum when :func:`is_separated` holds.
     Both rules apply only from ``s = d//2 + 1`` on, and length ``s``
     certifies only values in ``[min_genus(s), min_genus(s + 1))``, so one
-    ascending pass over the long lengths yields the runs in order.  Cached
-    by degree, so a classification's step 2 ORs them into its mask and each
-    read of its gaps expands them again (:func:`certified_gaps`).
+    ascending pass over the long lengths yields the runs in order.  With
+    k = d - s the next minimum lies ``d - k - 1`` above ``C(s-1,2)`` and the
+    top ``C(k,2)`` above it, so a hole run needs ``C(k,2) < d - 4`` and a
+    between-range run ``C(k+1,2) < d - 2``.  Both need ``C(k,2) < d - 2``,
+    so the pass starts at the largest such k, about ``sqrt(2d)``, and skips
+    the lengths below.  Cached by degree, so a classification's step 2 ORs
+    them into its mask and each read of its gaps expands them again
+    (:func:`certified_gaps`).
     """
     _check_degree(d)
     runs: list[tuple[int, int, str, int, int]] = []
-    for s in range(d // 2 + 1, d):
+    k = (1 + isqrt(max(8 * d - 16, 0))) // 2  # the largest k with C(k,2) < d - 2
+    for s in range(max(d // 2 + 1, d - k), d):
         top, nxt = closed_max_genus(d, s), min_genus(s + 1)
         start, stop = top - _hole_count(d, s), min(top, nxt)
         if start < stop:

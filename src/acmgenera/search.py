@@ -161,10 +161,15 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     three times, each one genus.
 
     A length whose genus ceiling lies below the least pending value holds no
-    target and is skipped: the ceiling is ``C(s-1,2) + C(d-s,2)`` at a long
-    length and ``C(s-1,2) + (s-2)(d-s)`` at a short one (at most ``s-2`` for
-    each of the ``d-s`` units above the all-ones sequence), read before the
-    rule reads the length's ``max_genus``.  The least pending value is an
+    target and is skipped: the ceiling is
+    ``C(s-1,2) + min(C(k,2), (s-2)k)``, k = d - s, at every length, read
+    before the rule reads the length's ``max_genus``.  The offset over the
+    all-ones sequence is the sum of ``(i-1)e_i`` over the excesses
+    ``e_i = h_i - 1``; they form a prefix of positive entries summing to k,
+    so the sum is at most ``C(k,2)``, and each of the k units sits at a
+    position of at most ``s-1``, so it is at most ``(s-2)k``.  At a long
+    length the ceiling is the closed-form top; from d = 52 on a cold call
+    reads no short length's ``max_genus``.  The least pending value is an
     int, read again from the mask only after a length with hits or once
     ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
 
@@ -200,7 +205,7 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
                 break
             low = (pending & -pending).bit_length() - 1
         k = d - s
-        if least + (k * (k - 1) // 2 if s > k else (s - 2) * k) < low:  # the length's genus ceiling
+        if least + min(k * (k - 1) // 2, (s - 2) * k) < low:  # the length's genus ceiling
             continue
         hits, found = _kernels.length_hits(d, s, pending)
         if not hits:

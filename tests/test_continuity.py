@@ -3,6 +3,7 @@ import random
 import pytest
 
 from acmgenera import GenusSet, binomial, certain_genera, clear_caches, continuity_prefix, m_sequence
+from acmgenera import continuity
 from acmgenera.errors import MAX_DEGREE
 from acmgenera.search import brute_force_genera
 from conftest import reference_certain_masks
@@ -103,6 +104,20 @@ def test_certain_masks_equal_the_plain_recursion():
             if order == "cold":  # the cache holds only the degrees one request read
                 clear_caches()
             assert certain_genera(d).bits == expected[d], (order, d)
+
+
+def test_certain_terms_equal_the_plain_recursion_from_their_cut():
+    # _certain_mask reads the term of degree j = d - k only from bit
+    # t = K(K-1) - C(k,2) on, and past j's own prefix takes j's largest parts alone
+    expected = reference_certain_masks(400)
+    pruned = 0
+    for d in range(32, 401):
+        K = (d - 1) // 2
+        for k in range(K + 1, d - 31):  # the terms of degree j >= 32
+            j, t = d - k, max(K * (K - 1) - binomial(k, 2), 0)
+            assert continuity._certain_term(j, t) >> t == expected[j] >> t, (d, j, t)
+            pruned += t > (j - 1) // 2 * ((j - 1) // 2 - 1)
+    assert pruned
 
 
 @pytest.mark.slow

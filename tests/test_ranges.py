@@ -133,14 +133,32 @@ def test_max_genus_does_not_decrease_with_the_length():
         assert tops == sorted(tops), d
 
 
-@pytest.mark.parametrize("d", [50, 100, 150])
+def test_genus_ceiling_bounds_max_genus_and_is_the_top_at_long_lengths():
+    # step 3 skips a length whose ceiling C(s-1,2) + min(C(k,2), (s-2)k),
+    # k = d - s, lies below every pending value, so a ceiling under a
+    # length's top would lose that length's genera
+    for d in range(2, 201):
+        for s in range(2, d + 1):
+            k = d - s
+            ceiling = binomial(s - 1, 2) + min(binomial(k, 2), (s - 2) * k)
+            assert max_genus(d, s) <= ceiling, (d, s)
+            if s >= d // 2 + 1:
+                assert closed_max_genus(d, s) == ceiling, (d, s)
+
+
+@pytest.mark.parametrize("d", [40, 50, 51, 100, 150])
 def test_classification_builds_max_genus_rows_only_below_the_long_lengths(monkeypatch, d):
+    # from d = 52 on (checked up to 400) the ceiling skips every short
+    # length of a cold classification; 51 is the last degree that reads one
     built = []
     real = ranges._max_genera
     monkeypatch.setattr(ranges, "_max_genera", lambda s: built.append(s) or real(s))
     clear_caches()
     acm_genera(d)
-    assert built and max(built) <= d // 2
+    if d in (40, 51):
+        assert built and max(built) <= d // 2
+    else:
+        assert built == []
 
 
 def test_extremes_against_enumeration():
@@ -426,6 +444,13 @@ def test_certified_runs_are_pinned_up_to_the_degree_budget():
     # does, so only this digest sees an edit to a rule function that both would follow
     digest = hashlib.sha256(repr([certified_runs(d) for d in range(1, MAX_DEGREE + 1)]).encode()).hexdigest()
     assert digest == "c5ac5b298a75ea4fbf0bc76706ce1d1e68036352c096ed4dc6122fb0e2c622bb"
+
+
+def test_certified_runs_lie_at_the_lengths_where_a_rule_can_hold():
+    # a hole run needs C(k,2) < d - 4 and a between-range run C(k+1,2) < d - 2,
+    # k = d - s, so certified_runs starts its pass at the largest k with C(k,2) < d - 2
+    for d in range(1, MAX_DEGREE + 1):
+        assert all(binomial(d - s, 2) < d - 2 for _, _, _, s, _ in certified_runs(d)), d
 
 
 @pytest.mark.slow
