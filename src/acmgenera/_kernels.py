@@ -27,7 +27,7 @@ sequence is a closed form.
 from __future__ import annotations
 
 import threading
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import or_
@@ -262,8 +262,8 @@ def bound_table(d: int) -> list[list[int]]:
 # The table grows as about K^5 in the largest excess K asked.  An upper bound
 # on its bytes read 8.9 MB through K = 57, the largest excess acm_genera asks
 # for up to MAX_DEGREE, and 62 MB through K = 87, the last excess under
-# 64 MB; the table through K = 87 took 0.1-0.15 s and a fresh process peaked
-# at 65 MB resident (2-core x86_64, Python 3.11.7).
+# 64 MB; the table through K = 87 took 0.054-0.062 s in a fresh process,
+# which peaked at 65 MB resident (2-core x86_64, Python 3.11.7).
 MAX_EXCESS = 87
 
 
@@ -277,10 +277,11 @@ def _excess_table() -> tuple[list, list, list, list, list, threading.Lock]:
     i >= 3, the OR of ``R[i][u][:v + 1]``.  ``M[k][v]``, a first-entry mask
     of excess k, is the OR of ``R[2][u][v]`` over the sums u < k whose cap
     at position 2, min(B(k - u + 1, 1) - 1, u), is at least v: the offsets
-    of excess k whose e_2 is v.  ``off[k]`` is Off(k) for k <= K; ``state``
-    is [``bound_table(K + 2)``], which holds every bound the table and the
-    witnesses read.  None of it depends on k or d, so
-    :func:`_excess_offsets` grows it in place, under ``lock``.
+    of excess k whose e_2 is v.  It holds ``M[k - 1][v]``, and ``M[k]`` is
+    at least as long, since the caps only rise with k.  ``off[k]`` is Off(k)
+    for k <= K; ``state`` is [``bound_table(K + 2)``], which holds every
+    bound the table and the witnesses read.  None of it depends on k or d,
+    so :func:`_excess_offsets` grows it in place, under ``lock``.
     """
     return [], [], [], [], [None], threading.Lock()
 
@@ -291,14 +292,25 @@ def _excess_offsets(k: int) -> int:
     The table is first taken on to excess k, its new rows (i, u) by
     descending i.  An entry v >= 1 at position i allows e_{i+1} = w exactly
     when w + 1 <= macaulay_bound(v + 1, i), a prefix of w, so each entry is
-    one prefix OR over row (i + 1, u - v), shifted by (i - 1) v.  A sum u at
+    one prefix OR over row (i + 1, u - v), shifted by (i - 1) v.  The prefix
+    ends at min(B(v + 1, i) - 1, u - v), and B(v + 1, i) - 1 + v rises with
+    v, so a row splits at its crossover vs, the first v with
+    B(v + 1, i) - 1 >= u - v: an entry below it reads that prefix, one from
+    it on the whole OR of row (i + 1, u - v), and none takes a min.  vs
+    rises with u, so one pointer per position finds it.  A sum u at
     position i needs k >= u + i - 1, e_1..e_{i-1} being positive, which
-    bounds the rows kept.  Then each new excess j gets its first-entry
-    masks M[j], ORed from the rows R[2][u], u < j, up to the entries that
-    h_1 = j - u + 1 allows at position 2, and Off(j) is 1, the all-ones
-    sequence, ORed with every M[j][v].  M[j] is appended before off[j],
-    and a reader that finds off[j] needs no lock.  An excess above
-    ``MAX_EXCESS`` raises :class:`BudgetError` before any row is built.
+    bounds the rows kept.
+
+    Then each new excess j gets its first-entry masks M[j], the OR of the
+    rows R[2][u], u < j, up to the cap min(B(j - u + 1, 1) - 1, u) that
+    h_1 = j - u + 1 sets at position 2, and Off(j) is 1, the all-ones
+    sequence, ORed with every M[j][v].  The caps only rise with j, so M[j]
+    is M[j - 1] with each sum's entries (old cap, new cap] ORed in, the
+    sums taken down from u = j - 1 until one was already at its cap u, as
+    every smaller sum then is; Off(j) grows from Off(j - 1) alike.  M[j] is
+    appended before off[j], and a reader that finds off[j] needs no lock.
+    An excess above ``MAX_EXCESS`` raises :class:`BudgetError` before any
+    row is built.
     """
     if k > MAX_EXCESS:
         raise BudgetError(f"the excess table through k={k} exceeds the budget (limit {MAX_EXCESS})")
@@ -312,24 +324,33 @@ def _excess_offsets(k: int) -> int:
                 R.append([[1]])  # R[i][0]: the empty suffix, offset 0
                 P.append([[1]])
             for i in range(k, 1, -1):
-                prefix, row_b, rows = P[i + 1], tab[i], R[i]
+                prefix, row_b, rows, step = P[i + 1], tab[i], R[i], i - 1
+                last = [p[-1] for p in prefix]  # last[w]: the whole OR of row (i + 1, w)
+                vs = 1
                 for u in range(len(rows), k + 2 - i):
-                    row = [0] + [prefix[u - v][min(row_b[v + 1] - 1, u - v)] << (i - 1) * v
-                                 for v in range(1, u + 1)]
+                    while row_b[vs + 1] + vs <= u:  # the crossover: B(vs + 1, i) - 1 >= u - vs
+                        vs += 1
+                    row = [0]
+                    row += [prefix[u - v][row_b[v + 1] - 1] << step * v for v in range(1, vs)]
+                    row += [last[u - v] << step * v for v in range(vs, u + 1)]
                     rows.append(row)
                     if i > 2:  # position 2 is read through M, not P
                         P[i].append(list(accumulate(row, or_)))
             state[0] = tab
             row_b = tab[1]
             for j in range(len(off), k + 1):
-                caps = [min(row_b[j - u + 1] - 1, u) for u in range(j)]
-                first = [0] * (max(caps, default=-1) + 1)
-                for u, cap in enumerate(caps):
-                    row = R[2][u]  # read per sum: at j = 0 there is none, and no R[2]
-                    for v in range(cap + 1):
+                first, grown = (M[j - 1][:], off[j - 1]) if j else ([], 1)
+                for u in range(j - 1, -1, -1):  # R[2] is read per sum: at j = 0 there is none
+                    old = min(row_b[j - u] - 1, u) if u < j - 1 else -1  # the cap at excess j - 1
+                    if old == u:  # saturated, and so is every smaller sum
+                        break
+                    cap, row = min(row_b[j - u + 1] - 1, u), R[2][u]
+                    first += [0] * (cap + 1 - len(first))
+                    for v in range(old + 1, cap + 1):
                         first[v] |= row[v]
+                        grown |= row[v]
                 M.append(first)
-                off.append(reduce(or_, first, 1))
+                off.append(grown)
     return off[k]
 
 

@@ -270,6 +270,48 @@ def reference_excess_witness(k: int, o: int) -> tuple[int, ...]:
     return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
 
 
+# the excess table's build before its rows were split at the crossover and
+# its first-entry masks grown by excess
+
+
+@lru_cache(maxsize=None)
+def reference_excess_table(K: int) -> tuple[list, list, list, list]:
+    """(R, P, M, off) of ``_kernels._excess_table`` through excess K, built from scratch.
+
+    Each row entry R[i][u][v], v >= 1, caps e_{i+1} by min(B(v + 1, i) - 1,
+    u - v) and reads that prefix OR of row (i + 1, u - v); P[i] is kept for
+    i >= 3.  Each M[k] is ORed anew from every sum u < k up to its cap at
+    position 2, min(B(k - u + 1, 1) - 1, u), and off[k] is 1 ORed with
+    every M[k][v].
+    """
+    from functools import reduce
+    from itertools import accumulate
+    from operator import or_
+
+    from acmgenera._kernels import bound_table
+
+    tab = bound_table(K + 2)
+    R = [[[1]] for _ in range(K + 2)]
+    P = [[[1]] for _ in range(K + 2)]
+    for i in range(K, 1, -1):
+        for u in range(1, K + 2 - i):
+            row = [0] + [P[i + 1][u - v][min(tab[i][v + 1] - 1, u - v)] << (i - 1) * v
+                         for v in range(1, u + 1)]
+            R[i].append(row)
+            if i > 2:
+                P[i].append(list(accumulate(row, or_)))
+    M, off = [], []
+    for k in range(K + 1):
+        caps = [min(tab[1][k - u + 1] - 1, u) for u in range(k)]
+        first = [0] * (max(caps, default=-1) + 1)
+        for u, cap in enumerate(caps):
+            for v in range(cap + 1):
+                first[v] |= R[2][u][v]
+        M.append(first)
+        off.append(reduce(or_, first, 1))
+    return R, P, M, off
+
+
 def record_step3_requests(monkeypatch) -> list:
     """Record each length that step 3 asks about, as (d, s, sorted target genera).
 

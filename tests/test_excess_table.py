@@ -38,7 +38,13 @@ from acmgenera import (
 from acmgenera._kernels import bound_table, length_profile, search_fixed_both
 from acmgenera.errors import MAX_DEGREE
 from acmgenera.ranges import hole_window
-from conftest import independent_checker, record_step3_requests, reference_excess_witness, reference_walk
+from conftest import (
+    independent_checker,
+    record_step3_requests,
+    reference_excess_table,
+    reference_excess_witness,
+    reference_walk,
+)
 
 
 def _long_lengths(d):
@@ -170,6 +176,35 @@ def test_the_offsets_are_the_or_of_the_first_entry_masks():
             masks |= m
         assert off[k] == masks, k
         assert all(m for m in M[k]), k  # every e_2 up to the largest cap occurs
+
+
+@pytest.mark.parametrize("steps", [(60,), (5, 13, 22, 40, 60)], ids=["cold", "grown"])
+def test_the_table_equals_the_reference_build(steps):
+    # rows split at the crossover and M grown by excess, against per-entry
+    # caps and M rebuilt from every sum, whether built at once or in steps
+    acmgenera.clear_caches()
+    for K in steps:
+        _kernels._excess_offsets(K)
+        R, P, off, M, _, _ = _kernels._excess_table()
+        ref_R, ref_P, ref_M, ref_off = reference_excess_table(K)
+        assert len(R) == len(ref_R) and len(off) == K + 1, K
+        for i in range(2, K + 1):
+            assert R[i] == ref_R[i], (K, i)
+            if i >= 3:
+                assert P[i] == ref_P[i], (K, i)
+        assert M == ref_M, K
+        assert off == ref_off, K
+
+
+def test_the_first_entry_masks_grow_with_the_excess():
+    # one more unit of e_1 keeps a sequence admissible, and the cap of each
+    # sum at position 2 only rises with k, so M[k] holds M[k - 1]
+    acmgenera.clear_caches()
+    _kernels._excess_offsets(60)
+    M = _kernels._excess_table()[3]
+    for k in range(1, 61):
+        assert len(M[k]) >= len(M[k - 1]), k
+        assert all(new & old == old for new, old in zip(M[k], M[k - 1])), k
 
 
 def _record_walks(monkeypatch):
