@@ -358,43 +358,46 @@ def _excess_offsets(k: int) -> int:
 def _excess_witness(k: int, o: int) -> tuple[int, ...]:
     """(1, h_1, ..., h_k) of the canonical tree (2k + 1, k + 1)'s first vertex of offset o.
 
-    That vertex has the lexicographically largest (e_2, e_3, ...), so each
-    entry is taken as large as the table allows, keeping the suffix sums
-    still possible.  e_2 is the largest v whose first-entry mask M[k][v]
-    holds o, one bit test per value, and the sums kept are the u < k whose
-    row R[2][u][e_2] holds o and whose cap at position 2 reaches e_2: a sum
-    u leaves e_1 = k - u, and h_2 <= h_1(h_1+1)/2 caps e_2.  Further on,
-    e_{i-1} caps e_i, and each kept sum is scanned down from its cap.
+    That vertex has the lexicographically largest (e_2, e_3, ...).  e_2 is
+    the largest v whose first-entry mask M[k][v] holds o, one bit test per
+    value, and the sums kept are the u < k whose row R[2][u][e_2] holds o
+    and whose cap at position 2 reaches e_2: a sum u leaves e_1 = k - u,
+    and h_2 <= h_1(h_1+1)/2 caps e_2.  Each kept sum then follows one
+    greedy path: at position i, with w of the sum left and the offset left
+    o', e_i is the largest v up to min(B(e_{i-1} + 1, i - 1) - 1, w) whose
+    entry R[i][w][v] holds o'.  Such a v exists, since the entry the path
+    came from held the offset, and taking it yields that sum's
+    lexicographically largest suffix.  The largest of those paths is the
+    vertex's; two sums never share a path, as a path sums to its sum.
     Needs Off(k) built and bit o set in it.
     """
     if not k:
         return (1,)
     R, _, _, M, (tab,), _ = _excess_table()
     first = M[k]
-    best = len(first) - 1
-    while not first[best] >> o & 1:
-        best -= 1
+    e2 = len(first) - 1
+    while not first[e2] >> o & 1:
+        e2 -= 1
     rows, row_b = R[2], tab[1]
-    keep = [u for u in range(best, k) if row_b[k - u + 1] > best and rows[u][best] >> o & 1]
-    core = []
-    i = 2
-    while best > 0:
-        core.append(best + 1)
-        o -= (i - 1) * best
-        cap = tab[i][best + 1] - 1
-        cands = [(u - best, min(cap, u - best)) for u in keep]
-        i += 1
-        rows, best, keep = R[i], -1, []
-        for u, cap in cands:
-            row = rows[u]
-            for v in range(cap, max(best, 0) - 1, -1):
-                if row[v] >> o & 1:
-                    if v > best:
-                        best, keep = v, []
-                    keep.append(u)
-                    break
-    e1 = k - sum(core) + len(core)
-    return (1, e1 + 1, *core) + (1,) * (k - 1 - len(core))
+    best, h1 = [], k + 1  # e_2 = 0 only at o = 0, with the empty core
+    for u in range(e2, k) if e2 else ():
+        if row_b[k - u + 1] <= e2 or not rows[u][e2] >> o & 1:
+            continue
+        path, v, w, rest, i = [e2 + 1], e2, u - e2, o - e2, 3
+        while w:
+            v = tab[i - 1][v + 1] - 1
+            if v > w:
+                v = w
+            row = R[i][w]
+            while not row[v] >> rest & 1:
+                v -= 1
+            path.append(v + 1)
+            rest -= (i - 1) * v
+            w -= v
+            i += 1
+        if path > best:
+            best, h1 = path, k - u + 1
+    return (1, h1, *best) + (1,) * (k - 1 - len(best))
 
 
 def _set_bits(bits: int) -> list[int]:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -106,15 +108,69 @@ def test_certain_masks_equal_the_plain_recursion():
             assert certain_genera(d).bits == expected[d], (order, d)
 
 
+def test_the_chained_prefix_is_all_ones():
+    # the chain starts from 0..K(K-1), K = (d-1)//2, and each part k > K
+    # whose shift C(k,2) is at most one past the prefix adds its degree's own
+    # prefix; below degree 32 that prefix is read from a table
+    expected = reference_certain_masks(400)
+    assert continuity._PLAIN_PREFIX_TOPS == tuple((~m & (m + 1)).bit_length() - 2 for m in expected[:32])
+    for d in range(32, 401):
+        top = continuity._certain_prefix(d)
+        assert expected[d] & ((1 << top + 1) - 1) == (1 << top + 1) - 1, d
+
+
+def test_a_cold_degree_150_builds_no_other_degrees_mask():
+    # every term of degree 150 starts inside the chained prefix or is read
+    # from the plain masks, which are built only up to the largest degree read
+    clear_caches()
+    certain_genera(150)
+    assert continuity._certain_mask.cache_info().currsize == 1
+    assert len(continuity._plain_masks()[0]) == 25
+
+
+def test_threads_growing_the_plain_masks_agree_with_the_recursion():
+    # the masks below degree 32 grow under one lock as far as each degree
+    # reads them; a lost or doubled step would shift every later degree
+    degrees = [*range(1, 32), 40, 64, 100, 150, 200, 300]
+    expected = reference_certain_masks(300)
+    orders = [random.Random(i).sample(degrees, len(degrees)) for i in range(6)]
+    start = threading.Barrier(len(orders))
+
+    def ask(i):
+        start.wait()
+        results[i] = {d: certain_genera(d).bits for d in orders[i]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # a race shows in most rounds, not in every one
+            clear_caches()
+            results = [None] * len(orders)
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [{d: expected[d] for d in degrees}] * len(orders)
+            assert continuity._plain_masks()[0] == expected[:32]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_certain_terms_equal_the_plain_recursion_from_their_cut():
-    # _certain_mask reads the term of degree j = d - k only from bit
-    # t = K(K-1) - C(k,2) on, and past j's own prefix takes j's largest parts alone
+    # _certain_mask reads the term of degree j = d - k only when its top
+    # C(k,2) + C(j-1,2) passes the chained prefix's top L, and only from bit
+    # t = L + 1 - C(k,2) on, and past j's own prefix takes j's largest parts alone
     expected = reference_certain_masks(400)
     pruned = 0
     for d in range(32, 401):
-        K = (d - 1) // 2
+        K, top = (d - 1) // 2, continuity._certain_prefix(d)
         for k in range(K + 1, d - 31):  # the terms of degree j >= 32
-            j, t = d - k, max(K * (K - 1) - binomial(k, 2), 0)
+            j, shift = d - k, binomial(k, 2)
+            if shift + binomial(j - 1, 2) <= top:
+                continue
+            t = max(top + 1 - shift, 0)
             assert continuity._certain_term(j, t) >> t == expected[j] >> t, (d, j, t)
             pruned += t > (j - 1) // 2 * ((j - 1) // 2 - 1)
     assert pruned

@@ -142,17 +142,28 @@ def test_clear_caches_drops_the_excess_table():
     assert _kernels._excess_table()[:4] == ([], [], [], [])
 
 
-def test_the_witness_pass_equals_the_reference_on_every_offset():
-    # e_2 from the first-entry masks, the later entries by the scan both
-    # share, on all 11,481 offsets of Off(k) for k <= 45
+def _witnesses_checked_against_the_reference(kmax):
+    """The offsets of Off(k), k <= kmax, whose witness was held to the all-sums scan."""
     acmgenera.clear_caches()
     checked = 0
-    for k in range(46):
+    for k in range(kmax + 1):
         off = _kernels._excess_offsets(k)
         for o in _kernels._set_bits(off):
             assert _kernels._excess_witness(k, o) == reference_excess_witness(k, o), (k, o)
             checked += 1
-    assert checked == 11481
+    return checked
+
+
+def test_the_witness_pass_equals_the_reference_on_every_offset():
+    # e_2 from the first-entry masks and one greedy path per kept sum,
+    # against the scan of every sum's candidates at every position, on all
+    # 11,481 offsets of Off(k) for k <= 45
+    assert _witnesses_checked_against_the_reference(45) == 11481
+
+
+@pytest.mark.slow
+def test_the_witness_pass_equals_the_reference_on_every_offset_up_to_excess_60():
+    assert _witnesses_checked_against_the_reference(60) == 27794
 
 
 def test_the_offsets_are_the_or_of_the_first_entry_masks():

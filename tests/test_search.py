@@ -360,6 +360,18 @@ def test_classifications_are_byte_identical_in_any_order():
     assert _classification_digest(cold) == CLASSIFICATIONS_1_160
 
 
+def test_the_genera_of_each_degree_lie_in_those_of_the_next():
+    # raising h_1 by one keeps a sequence admissible, since B(h_1, 1) grows
+    # with h_1, and position 1 adds nothing to the genus; so a genus lost at
+    # one degree, by whichever step, shows here.  Ascending from cleared
+    # caches, then descending with every cache warm
+    clear_caches()
+    for degrees in (range(1, 401), range(400, 0, -1)):
+        genera = {d: acm_genera(d).genera.bits for d in degrees}
+        for d in range(2, 401):
+            assert genera[d - 1] & ~genera[d] == 0, d
+
+
 def test_stats_partition_range():
     for d in range(1, 61):
         cls = acm_genera(d)
