@@ -1,28 +1,29 @@
 """Hot search kernels: one pruned tree walk, the backward excess table, the
 exhaustive enumeration and the per-length genus profile.
 
-The one per-length rule is :func:`length_hits`: it takes a bitmask of
-genera, cuts it to the (d, s)-range less the length's hole values, and
-chooses where the answers come from.  A classification's step 3 asks it for
-every length it does not skip, with its whole mask of pending values;
-:func:`search_fixed_both` asks it for a list of genera and
-:func:`length_witness` for one genus, which a fixed-multiplicity search
-asks at the lengths the degree's genus profile marks.  At a short length
-the rule walks the fixed-(d, s) tree once per genus.  The walk and the
-exhaustive enumeration are explicit-stack loops over plain lists, reading
-the growth bound from a per-degree table of
-:func:`acmgenera.macaulay.macaulay_bound` values; the genus profile's
-dynamic program reads the same table.
+The per-length rule is :func:`length_hits`: it takes a bitmask of genera,
+cuts it to the (d, s)-range less the length's hole values, and chooses
+where the answers come from.  :func:`search_fixed_both` asks it for a list
+of genera and :func:`length_witness` for one genus, which a
+fixed-multiplicity search asks at the lengths the degree's genus profile
+marks.  A classification's step 3 asks it at each short length it does not
+skip, with its whole mask of pending values, and makes one pass over its
+long lengths, :func:`long_lengths`.  At a short length the rule walks the
+fixed-(d, s) tree once per genus.  The walk and the exhaustive enumeration
+are explicit-stack loops over plain lists, reading the growth bound from a
+per-degree table of :func:`acmgenera.macaulay.macaulay_bound` values; the
+genus profile's dynamic program reads the same table.
 
 At a long length, s >= d//2 + 1, the fixed-(d, s) tree depends only on the
-excess k = d - s, and the rule reads it from :func:`long_length_hits`: the
-cut genera are a bitmask of offsets, the hits are one AND with Off(k), and
-only the hits get witnesses.  Off(k) comes from one backward table of suffix
-offsets that depends on neither k nor d: it grows with the largest excess
-asked, and a greedy pass over it builds each witness, so the answers do not
-depend on which requests came before.  Only an excess past ``MAX_EXCESS``,
-where the table is refused, is walked, except for its top genus, whose one
-sequence is a closed form.
+excess k = d - s.  The rule there is :func:`long_lengths` over that one
+length: it cuts the mask, and :func:`long_length_hits`, the per-length work
+of every long length, reads the cut genera as a bitmask of offsets: the hits
+are one AND with Off(k), and only the hits get witnesses.  Off(k) comes from
+one backward table of suffix offsets that depends on neither k nor d: it
+grows with the largest excess asked, and a greedy pass over it builds each
+witness, so the answers do not depend on which requests came before.  Only
+an excess past ``MAX_EXCESS``, where the table is refused, is walked, except
+for its top genus, whose one sequence is a closed form.
 """
 from __future__ import annotations
 
@@ -369,7 +370,10 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
     came from held the offset, and taking it yields that sum's
     lexicographically largest suffix.  The largest of those paths is the
     vertex's; two sums never share a path, as a path sums to its sum.
-    Needs Off(k) built and bit o set in it.
+    Once an entry e_{i-1} is 1 the path is forced: its cap at position i is
+    B(2, i - 1) - 1 = 1, and R[i][w][0] is empty for w > 0, so the w units
+    left are w entries 1, taken in one step.  About four greedy steps in
+    five are such forced ones.  Needs Off(k) built and bit o set in it.
     """
     if not k:
         return (1,)
@@ -385,6 +389,9 @@ def _excess_witness(k: int, o: int) -> tuple[int, ...]:
             continue
         path, v, w, rest, i = [e2 + 1], e2, u - e2, o - e2, 3
         while w:
+            if v == 1:  # the rest of the path is w ones of excess
+                path += [2] * w
+                break
             v = tab[i - 1][v + 1] - 1
             if v > w:
                 v = w
@@ -414,8 +421,8 @@ def _set_bits(bits: int) -> list[int]:
     return values
 
 
-def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The offsets in the mask ``offsets`` attained at a long length, and their witnesses.
+def long_length_hits(d: int, s: int, offsets: int, found: dict) -> int:
+    """The offsets in the mask ``offsets`` attained at a long length; their witnesses go into ``found``.
 
     At a long length, s >= d//2 + 1, a length-s sequence is
     (1, h_1, ..., h_r, 1, ..., 1) with each h_i >= 2, its genus is
@@ -426,71 +433,121 @@ def long_length_hits(d: int, s: int, offsets: int) -> tuple[int, dict[int, tuple
     offsets and the preorder are those of the canonical tree
     (2k + 1, k + 1), the same for every degree of that excess.  Bit o of
     ``offsets`` asks for genus C(s-1,2) + o; the hits are one AND with
-    Off(k) (:func:`_excess_offsets`), and only a hit gets a witness: the
-    first vertex of its offset in the canonical preorder
+    Off(k), read from the grown table and built by
+    :func:`_excess_offsets` only when k is past it, and only a hit gets a
+    witness: the first vertex of its offset in the canonical preorder
     (:func:`_excess_witness`) followed by s - 1 - k ones, the vertex the
-    direct walk returns.
+    direct walk returns.  ``found[C(s-1,2) + o]`` receives it, in ascending
+    genus.
 
-    Returns (the hit mask, {genus: witness} in ascending genus).  The
-    table grows as about K^5 in the largest excess K asked, and an excess
-    above ``MAX_EXCESS`` raises :class:`BudgetError` before any row is
-    built; K = 57 serves every request of a classification's step 3 up to
-    ``MAX_DEGREE``, but not every long length: k = d - s reaches 499 at
-    the degree budget.
+    This is the per-length work of every long length, whoever asks:
+    :func:`long_lengths` calls it once for each length whose cut leaves an
+    offset.  Returns the hit mask, as offsets.  The table grows as about K^5
+    in the largest excess K asked, and an excess above ``MAX_EXCESS``
+    raises :class:`BudgetError` before any row is built; K = 57 serves
+    every request of a classification's step 3 up to ``MAX_DEGREE``, but
+    not every long length: k = d - s reaches 499 at the degree budget.
     """
     k = d - s
-    hits = offsets & _excess_offsets(k)
-    base, tail = (s - 1) * (s - 2) // 2, (1,) * (s - 1 - k)
-    return hits, {base + o: _excess_witness(k, o) + tail for o in _set_bits(hits)}
+    off = _excess_table()[2]
+    hits = offsets & (off[k] if k < len(off) else _excess_offsets(k))
+    if hits:
+        base, tail = (s - 1) * (s - 2) // 2, (1,) * (s - 1 - k)
+        for o in _set_bits(hits):
+            found[base + o] = _excess_witness(k, o) + tail
+    return hits
+
+
+def long_lengths(d: int, s: int, stop: int, genera: int, found: dict) -> int:
+    """The genera in the mask ``genera`` attained at the long lengths s .. stop - 1; witnesses into ``found``.
+
+    One pass in ascending length, for d//2 + 1 <= s and stop <= d + 1,
+    that keeps C(s-1,2) and k = d - s as running values.  A genus found at
+    one length is not asked at the next.  A value below C(s-1,2) cannot be
+    reached from s on, and a length whose top genus, C(s-1,2) + C(k,2), lies
+    below the least value still asked is skipped; the pass stops once no
+    value is left.  At every other length the mask is cut to the offsets
+    o = g - C(s-1,2) of the (d, s)-range less its hole values
+    (:func:`~acmgenera.ranges.hole_window`), which stay asked for the longer
+    lengths.  No length-s sequence has a hole genus, so the cut changes no
+    output, but it keeps the excess table from growing for values it cannot
+    hold: without it 211 of the degrees 3..1000 ask a larger excess
+    (d = 150 asks 23 instead of 22).  Cut offsets at an excess of at most
+    ``MAX_EXCESS`` go to :func:`long_length_hits`.  Past that limit (up to
+    k = 499 at the degree budget) the table would be refused, so the top
+    genus gets :func:`~acmgenera.ranges.closed_max_oseq`, the only sequence
+    with that genus, and any other one is walked for (:func:`_walked`).
+
+    ``found`` receives the witnesses in ascending length, then ascending
+    genus.  Returns the hit mask, as genera.
+    """
+    base, k, hits_all, low = (s - 1) * (s - 2) // 2, d - s, 0, -1  # low: the least value asked, or -1
+    for s in range(s, stop):
+        if low < base:
+            genera &= -1 << base
+            if not genera:
+                break
+            low = (genera & -genera).bit_length() - 1
+        top = k * (k - 1) // 2  # C(k,2), the top offset
+        if base + top >= low:
+            offsets = (genera >> base) & (((1 << (top - _hole_count(d, s))) - 1) | 1 << top)
+            if offsets:
+                if k <= MAX_EXCESS:
+                    hits = long_length_hits(d, s, offsets, found) << base
+                else:
+                    hits = _walked(d, s, offsets << base, base + top, found)
+                if hits:
+                    hits_all |= hits
+                    genera ^= hits
+                    low = -1
+        base += s - 1
+        k -= 1
+    return hits_all
+
+
+def _walked(d: int, s: int, targets: int, closed: int, found: dict) -> int:
+    """The genera in the mask ``targets`` found by one pruned walk each; witnesses into ``found``.
+
+    Genus ``closed`` is the top genus of a long length, whose one sequence
+    is :func:`~acmgenera.ranges.closed_max_oseq`; -1 asks for none.
+    Returns the hit mask.
+    """
+    hits = 0
+    for g in _set_bits(targets):
+        w = closed_max_oseq(d, s) if g == closed else _walk_to(d, s, g, bound_table(d))
+        if w is not None:
+            found[g] = w
+            hits |= 1 << g
+    return hits
 
 
 def length_hits(d: int, s: int, genera: int) -> tuple[int, dict[int, tuple[int, ...]]]:
     """The genera in the mask ``genera`` attained at multiplicity d, length s, and their witnesses.
 
-    The one per-length rule: bit g of ``genera`` asks for genus g, and its
+    The per-length rule: bit g of ``genera`` asks for genus g, and its
     witness is the first vertex of genus g in the fixed-(d, s) tree's
     preorder.  No sequence of multiplicity d is longer than d, so s > d
     holds none, and only d = 1 has one of length 1; a length below 1 raises
     ValueError, and a degree above the budget :class:`BudgetError`.
 
-    At a long length, s >= d//2 + 1, the mask is cut to the offsets
-    o = g - C(s-1,2) of the (d, s)-range less its hole values
-    (:func:`~acmgenera.ranges.hole_window`), and an excess k = d - s of at
-    most ``MAX_EXCESS`` is answered by :func:`long_length_hits` on the cut
-    offsets.  Past that limit (up to k = 499 at the degree budget) the table
-    would be refused, so the top genus returns
-    :func:`~acmgenera.ranges.closed_max_oseq`, the only sequence with that
-    genus, and any other genus is looked for by one walk, :func:`_walk_to`,
-    pruned at it, as is each genus up to ``max_genus(d, s)`` at a short
-    length, which holds no holes.
+    A long length, s >= d//2 + 1, is the pass :func:`long_lengths` over
+    that length alone, which cuts the mask to the range less its hole values
+    and reads the excess table.  A short length holds no holes: each genus
+    up to ``max_genus(d, s)`` is looked for by one walk, :func:`_walk_to`,
+    pruned at it.  A classification's step 3 asks this rule at its short
+    lengths only, and makes one pass over its long ones.
 
     Returns (the hit mask, {genus: witness} in ascending genus).
     """
-    k = d - s
-    if 0 <= k < s and d <= MAX_DEGREE:  # a long length, d//2 + 1 <= s <= d, within the degree budget
-        base, top = (s - 1) * (s - 2) // 2, k * (k - 1) // 2  # C(s-1,2) and the top offset, C(k,2)
-        # the offsets below the holes, and the top one; the holes stay
-        # pending for the longer lengths.  No length-s sequence has a hole
-        # genus, so the cut changes no output, but it keeps the table from
-        # growing for values it cannot hold: without it 211 of the degrees
-        # 3..1000 ask a larger excess (d = 150 asks 23 instead of 22)
-        offsets = (genera >> base) & (((1 << (top - _hole_count(d, s))) - 1) | 1 << top)
-        if k <= MAX_EXCESS:
-            hits, found = long_length_hits(d, s, offsets) if offsets else (0, {})
-            return hits << base, found
-        targets, closed = offsets << base, base + top
-    elif s < 1:
+    found: dict[int, tuple[int, ...]] = {}
+    if 0 <= d - s < s and d <= MAX_DEGREE:  # a long length, d//2 + 1 <= s <= d, within the degree budget
+        return long_lengths(d, s, s + 1, genera, found), found
+    if s < 1:
         raise ValueError("length must be >= 1")
-    elif s > d or s == 1:  # s = 1 is short only for d > 1
-        return 0, {}
-    else:  # a short length, or a degree past the budget, which max_genus refuses
-        targets, closed = genera & ((1 << (max_genus(d, s) + 1)) - 1), -1
-    if not targets:
-        return 0, {}
-    found = ((g, closed_max_oseq(d, s) if g == closed else _walk_to(d, s, g, bound_table(d)))
-             for g in _set_bits(targets))
-    found = {g: w for g, w in found if w is not None}
-    return sum(1 << g for g in found), found
+    if s > d or s == 1:  # s = 1 is short only for d > 1
+        return 0, found
+    # a short length, or a degree past the budget, which max_genus refuses
+    return _walked(d, s, genera & ((1 << (max_genus(d, s) + 1)) - 1), -1, found), found
 
 
 def search_fixed_both(d: int, s: int, targets) -> dict[int, tuple[int, ...]]:

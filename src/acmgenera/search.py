@@ -9,14 +9,16 @@ The classification combines the certain genera from the degree recursion,
 the runs of closed-form gaps, and one rule for the values still pending,
 applied for s = 2 .. d in ascending order: a pending value below the least
 genus of length s is a gap, and at each length whose genus ceiling reaches
-the least pending value the whole pending mask goes to the per-length rule
-:func:`~acmgenera._kernels.length_hits`.  The rule cuts it to the
-(d, s)-range less the length's hole values
+the least pending value the whole pending mask is looked for at that
+length.  A short length, s <= d//2, goes to the per-length rule
+:func:`~acmgenera._kernels.length_hits`, which walks the tree once per
+pending genus in its range; the long lengths are one pass,
+:func:`~acmgenera._kernels.long_lengths`.  The pass cuts the mask at each
+length to the (d, s)-range less the length's hole values
 (:func:`~acmgenera.ranges.hole_window`), which no length-s sequence attains
-and which stay pending for the longer lengths, and returns the genera it
-finds, with witnesses for them alone: at a long length from one AND against
-the offsets that the backward excess table holds for that excess, at a short
-one by one pruned walk per genus.
+and which stay pending for the longer lengths, and finds the genera there by
+one AND against the offsets that the backward excess table holds for that
+excess, with witnesses for them alone.
 """
 from __future__ import annotations
 
@@ -151,14 +153,15 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     gap; the pending values in ``[min_genus(s), max_genus(d, s)]`` are looked
     for at length s, and the values found are genera.
 
-    Every length it does not skip hands the whole mask to the per-length
-    rule :func:`~acmgenera._kernels.length_hits`, which cuts it to the
-    length's range less its hole values and returns the hits as a mask of
-    genera, with witnesses for the hits alone: a long length,
-    s >= d//2 + 1, reads them from the backward excess table, and a short
-    one, which holds no holes, walks the tree once per pending value up to
-    ``max_genus(d, s)``.  Up to d = 1000 a short length holds such a value
-    three times, each one genus.
+    Every short length, s <= d//2, that it does not skip hands the whole
+    mask to the per-length rule :func:`~acmgenera._kernels.length_hits`,
+    which walks the tree once per pending value up to ``max_genus(d, s)``,
+    since a short length holds no holes; up to d = 1000 a short length holds
+    such a value three times, each one genus.  The long lengths, s >= d//2 + 1, are one
+    pass, :func:`~acmgenera._kernels.long_lengths`, with the same skips:
+    at each length it cuts the mask to the range less its hole values, reads
+    the hits from the backward excess table and writes their witnesses into
+    the classification's dict, in ascending length and then genus.
 
     A length whose genus ceiling lies below the least pending value holds no
     target and is skipped: the ceiling is
@@ -168,8 +171,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     ``e_i = h_i - 1``; they form a prefix of positive entries summing to k,
     so the sum is at most ``C(k,2)``, and each of the k units sits at a
     position of at most ``s-1``, so it is at most ``(s-2)k``.  At a long
-    length the ceiling is the closed-form top; from d = 52 on a cold call
-    reads no short length's ``max_genus``.  The least pending value is an
+    length the ceiling is the closed-form top, ``C(s-1,2) + C(k,2)``; from
+    d = 52 on a cold call reads no short length's ``max_genus``.  The least pending value is an
     int, read again from the mask only after a length with hits or once
     ``min_genus(s)`` passes it.  The walk stops once nothing is pending.
 
@@ -197,7 +200,7 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
     witnesses: dict[int, tuple[int, ...]] = {}
     found_bits = 0
     pending, low, least = undecided, -1, 0  # low: the least pending value, or -1 to read it again
-    for s in range(2, d + 1):
+    for s in range(2, d // 2 + 1):
         least += s - 2  # min_genus(s) = C(s-1,2)
         if low < least:
             pending &= -1 << least
@@ -214,6 +217,8 @@ def acm_genera(d: int, timings: dict[str, float] | None = None) -> DegreeClassif
         found_bits |= hits
         pending &= ~hits
         low = -1
+    else:  # the long lengths, in one pass that writes their witnesses into the dict
+        found_bits |= _kernels.long_lengths(d, d // 2 + 1, d + 1, pending, witnesses)
 
     genera = GenusSet(d, certain.bits | found_bits)
     searched_gaps = undecided & ~found_bits

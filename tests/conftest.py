@@ -315,11 +315,12 @@ def reference_excess_table(K: int) -> tuple[list, list, list, list]:
 def record_step3_requests(monkeypatch) -> list:
     """Record each length that step 3 asks about, as (d, s, sorted target genera).
 
-    Step 3 hands its whole pending mask to ``_kernels.length_hits`` at every
-    length.  A long length reaches ``_kernels.long_length_hits`` as a mask of
-    offsets from C(s-1,2), recorded when the cut leaves any; at a short
-    length, s <= d - s, the rule keeps the genera up to ``max_genus(d, s)``,
-    recorded when there are any.  Both are read back as genera.
+    Step 3 hands its whole pending mask to ``_kernels.length_hits`` at each
+    short length, s <= d - s, where the rule keeps the genera up to
+    ``max_genus(d, s)``, recorded when there are any.  Its one pass over the
+    long lengths, ``_kernels.long_lengths``, hands each length's cut to
+    ``_kernels.long_length_hits`` as a mask of offsets from C(s-1,2) when the
+    cut leaves any.  Both are read back as genera.
     """
     from acmgenera import _kernels
     from acmgenera.ranges import max_genus
@@ -333,10 +334,10 @@ def record_step3_requests(monkeypatch) -> list:
                 asked.append((d, s, kept))
         return _inner(d, s, genera)
 
-    def long_length(d, s, offsets, _inner=_kernels.long_length_hits):
+    def long_length(d, s, offsets, found, _inner=_kernels.long_length_hits):
         base = (s - 1) * (s - 2) // 2
         asked.append((d, s, [base + o for o in _kernels._set_bits(offsets)]))
-        return _inner(d, s, offsets)
+        return _inner(d, s, offsets, found)
 
     monkeypatch.setattr(_kernels, "length_hits", per_length)
     monkeypatch.setattr(_kernels, "long_length_hits", long_length)

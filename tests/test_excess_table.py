@@ -313,9 +313,9 @@ def test_a_whole_long_length_range_is_one_mask(monkeypatch):
     # for, and answers as length_witness does genus by genus
     asked = []
 
-    def hits(d, s, offsets, _inner=_kernels.long_length_hits):
+    def hits(d, s, offsets, found, _inner=_kernels.long_length_hits):
         asked.append((d, s))
-        return _inner(d, s, offsets)
+        return _inner(d, s, offsets, found)
 
     monkeypatch.setattr(_kernels, "long_length_hits", hits)
     acmgenera.clear_caches()
@@ -335,7 +335,7 @@ def test_an_oversized_table_is_refused_before_it_is_built():
     acm_genera(60)
     built = len(_kernels._excess_table()[2])
     with pytest.raises(BudgetError, match="excess table"):
-        _kernels.long_length_hits(1000, 501, 1 << 1)
+        _kernels.long_length_hits(1000, 501, 1 << 1, {})
     assert len(_kernels._excess_table()[2]) == built
     assert 57 <= _kernels.MAX_EXCESS
     g = comb(500, 2) + 1
@@ -348,7 +348,7 @@ def test_an_oversized_table_is_refused_before_it_is_built():
     code = (
         "import tracemalloc; from acmgenera import BudgetError, _kernels\n"
         "tracemalloc.start()\n"
-        "try:\n    _kernels.long_length_hits(1000, 501, 1 << 1)\n"
+        "try:\n    _kernels.long_length_hits(1000, 501, 1 << 1, {})\n"
         "except BudgetError:\n    print(tracemalloc.get_traced_memory()[1])\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
@@ -413,9 +413,9 @@ def test_the_largest_excess_step_3_asks_is_pinned_up_to_the_degree_budget(monkey
     # MAX_EXCESS; the pin catches a step 3 that asks a larger one
     largest = {}
 
-    def spy(d, s, offsets, _inner=_kernels.long_length_hits):
+    def spy(d, s, offsets, found, _inner=_kernels.long_length_hits):
         largest[d] = max(largest.get(d, 0), d - s)
-        return _inner(d, s, offsets)
+        return _inner(d, s, offsets, found)
 
     monkeypatch.setattr(_kernels, "long_length_hits", spy)
     acmgenera.clear_caches()
@@ -531,7 +531,11 @@ def test_threads_sharing_the_first_entry_masks_agree_with_one_thread():
     groups = [g if i % 2 else g[::-1] for i, g in enumerate(groups)]
 
     def ask(ks):
-        return {k: _kernels.long_length_hits(2 * k + 1, k + 1, (1 << (comb(k, 2) + 1)) - 1) for k in ks}
+        answers = {}
+        for k in ks:
+            found = {}
+            answers[k] = _kernels.long_length_hits(2 * k + 1, k + 1, (1 << (comb(k, 2) + 1)) - 1, found), found
+        return answers
 
     acmgenera.clear_caches()
     expected = ask(excesses)

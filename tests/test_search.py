@@ -360,6 +360,29 @@ def test_classifications_are_byte_identical_in_any_order():
     assert _classification_digest(cold) == CLASSIFICATIONS_1_160
 
 
+# sha256 over repr((d, list(witnesses.items()))) for d = 1..160: the witnesses
+# in the classification's own insertion order, which its repr shows
+WITNESS_ORDER_1_160 = "5f55a953a88608d70632298ce1b682fb3a5fc3386a398979df308ca0b0b2b98b"
+
+
+def test_witness_insertion_order_is_pinned_in_any_order():
+    # ascending length, then ascending genus; not sorted by genus, since a
+    # longer length can hold a smaller genus than a shorter one (d = 70, 100)
+    def record(d):
+        return repr((d, list(acm_genera(d).witnesses.items()))).encode()
+
+    clear_caches()
+    assert _classification_digest({d: record(d) for d in range(1, 161)}) == WITNESS_ORDER_1_160
+    degrees = list(range(1, 161))
+    random.Random(2014).shuffle(degrees)
+    cold = {}
+    for d in degrees:
+        clear_caches()
+        cold[d] = record(d)
+    assert _classification_digest(cold) == WITNESS_ORDER_1_160
+    assert all(list(acm_genera(d).witnesses) != sorted(acm_genera(d).witnesses) for d in (70, 100))
+
+
 def test_the_genera_of_each_degree_lie_in_those_of_the_next():
     # raising h_1 by one keeps a sequence admissible, since B(h_1, 1) grows
     # with h_1, and position 1 adds nothing to the genus; so a genus lost at

@@ -22,9 +22,10 @@ def test_the_bound_cache_statistics_the_benchmark_reads_exist():
 def test_one_classification_traces_each_step_once_under_its_span():
     # the per-layer metrics read these spans; a step called by another name
     # or more than once would make them read 0 or double without failing.
-    # Step 3 asks _kernels.length_hits at every length, short ones included,
-    # so search_fixed_both is traced at no degree, not even at d = 15, whose
-    # step 3 holds a pending value at a short length.  A classification
+    # Step 3 asks _kernels.length_hits at its short lengths and makes one
+    # pass, _kernels.long_lengths, over its long ones, so search_fixed_both
+    # is traced at no degree, not even at d = 15, whose step 3 holds a
+    # pending value at a short length.  A classification
     # builds no certificate: each read of its gaps calls certified_gaps once,
     # outside the classification's span
     tracer_module = benchmark_tracer()
